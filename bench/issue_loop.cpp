@@ -13,8 +13,8 @@
  *    cost of a wasted scan (the branch-miss path the branchless issue
  *    mask flattens).
  *
- * Variants: the committed serial tick() (monitor-capable path), the
- * fused tickFast() (the event core's hot path), and tickFast() driven
+ * Variants: tick() (the monitor-capable path), tickFast() (the event
+ * core's monitor-free hot path), and tickFast() driven
  * at the CU's next-event hint (skipping the idle cycles the event loop
  * never visits). simdScans()/emptyScans() counters report how many
  * per-SIMD ready scans each run performed and what share found nothing.
@@ -118,7 +118,7 @@ runOnce(const GpuConfig &cfg, const Program &prog, Drive drive,
             ++now;
             break;
           case Drive::Hint: {
-            timing::ComputeUnit::FastTick ft = cu.tickFast(now);
+            timing::ComputeUnit::TickResult ft = cu.tickFast(now);
             now = (ft.hint == kNoCycle || ft.hint <= now)
                       ? now + 1
                       : ft.hint;

@@ -19,14 +19,11 @@ echo "##### micro_components #####"
 
 # hotloop_speedup writes BENCH_hotloop.json; surface the telemetry
 # schema version it was produced against so downstream tooling can
-# reject stale artifacts. Schema v3 added the per-launch backend
-# fidelity fields, so an older version here means a stale binary ran.
+# reject stale artifacts. Schema v4 dropped the epoch statistics, so an
+# older version here means a stale binary ran.
 if [ -f BENCH_hotloop.json ]; then
-    grep '"telemetry_schema_version": 3,' BENCH_hotloop.json ||
-        { echo "BENCH_hotloop.json telemetry_schema_version is not 3" >&2
-          exit 1; }
-    grep -q '"oversubscribed"' BENCH_hotloop.json ||
-        { echo "BENCH_hotloop.json missing oversubscribed flags" >&2
+    grep '"telemetry_schema_version": 4,' BENCH_hotloop.json ||
+        { echo "BENCH_hotloop.json telemetry_schema_version is not 4" >&2
           exit 1; }
 fi
 
@@ -34,8 +31,8 @@ fi
 # steal-vs-static scheduler comparison; an artifact without the
 # scheduler block came from a stale binary.
 if [ -f BENCH_campaign.json ]; then
-    grep '"telemetry_schema_version": 3,' BENCH_campaign.json ||
-        { echo "BENCH_campaign.json telemetry_schema_version is not 3" >&2
+    grep '"telemetry_schema_version": 4,' BENCH_campaign.json ||
+        { echo "BENCH_campaign.json telemetry_schema_version is not 4" >&2
           exit 1; }
     grep -q '"steal_ops"' BENCH_campaign.json ||
         { echo "BENCH_campaign.json missing scheduler stats" >&2
@@ -48,8 +45,8 @@ fi
 # check the artifact carries the gate fields (a stale binary would
 # not) and that auto mode demonstrably switched on pagerank.
 if [ -f BENCH_backend.json ]; then
-    grep '"telemetry_schema_version": 3,' BENCH_backend.json ||
-        { echo "BENCH_backend.json telemetry_schema_version is not 3" >&2
+    grep '"telemetry_schema_version": 4,' BENCH_backend.json ||
+        { echo "BENCH_backend.json telemetry_schema_version is not 4" >&2
           exit 1; }
     grep -q '"error_bound_pct"' BENCH_backend.json ||
         { echo "BENCH_backend.json missing error/speedup gates" >&2

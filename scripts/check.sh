@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local gate: configure + build (warnings are errors), tier-1
-# tests, and the photon_lint phase-safety/determinism/lockset/taint
+# tests, and the photon_lint determinism/layout/lockset/taint
 # pass — the same checks CI runs on every push.
 #
 # Usage: scripts/check.sh [--lint-only] [builddir]

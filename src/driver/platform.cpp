@@ -128,14 +128,6 @@ Platform::launch(const isa::ProgramPtr &program,
         } else {
             tele.backendIntervalCycles = out.cycles();
         }
-        // Statistics the backend never measured are reported as
-        // absent (null), not zero.
-        tele.hasDetailedStats = caps.epochStats;
-        if (caps.epochStats) {
-            tele.epochs = out.epochs;
-            tele.epochCycles = out.epochCycleSum;
-            tele.barrierCrossings = out.barrierCrossings;
-        }
         break;
       }
       case SimMode::Photon: {

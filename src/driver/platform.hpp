@@ -94,14 +94,6 @@ class Platform
 
     // ----- Introspection -----
 
-    /** Intra-kernel CU worker threads for every launch (any value is
-     *  bit-identical to 1; see timing::RunOptions::cuThreads). */
-    void setCuThreads(std::uint32_t n) { gpu_.setCuThreads(n); }
-
-    /** Clamp the epoch loop's horizon for every launch (0 = unclamped;
-     *  1 forces per-cycle stepping — the parity-test stress mode). */
-    void setMaxEpochCycles(Cycle cap) { gpu_.setEpochCap(cap); }
-
     SimMode mode() const { return mode_; }
     const GpuConfig &gpuConfig() const { return gpuCfg_; }
     func::GlobalMemory &mem() { return mem_; }

@@ -2,9 +2,8 @@
  * @file
  * A kernel program: an immutable instruction list plus resource metadata
  * and a pre-decoded execution stream. Decoding — the functional-unit
- * lookup, and the minimum-issues-to-retirement metric the epoch
- * scheduler needs — happens once at construction, so the per-issue hot
- * path indexes one flat array instead of chasing the opcode table.
+ * lookup — happens once at construction, so the per-issue hot path
+ * indexes one flat array instead of chasing the opcode table.
  */
 
 #ifndef PHOTON_ISA_PROGRAM_HPP
@@ -25,10 +24,6 @@ inline constexpr unsigned kMaxSgprs = 32;
 inline constexpr unsigned kMaxVgprs = 32;
 inline constexpr unsigned kMaxMaskRegs = 4;
 
-/** minStepsToEnd value for PCs that cannot reach s_endpgm (an infinite
- *  loop by construction); large but safe to add to a cycle number. */
-inline constexpr std::uint32_t kUnreachableEnd = 1u << 30;
-
 /**
  * One pre-decoded instruction: the operands (copied for locality) plus
  * everything the timing model would otherwise re-derive per issue.
@@ -37,11 +32,6 @@ struct DecodedInst
 {
     Instruction inst;
     FuncUnit unit = FuncUnit::SALU;
-    /** Minimum number of issues (this instruction included) until the
-     *  wavefront retires, over the shortest control-flow path to any
-     *  s_endpgm; kUnreachableEnd when no path exists. Lower-bounds how
-     *  soon a wavefront at this PC can free dispatch capacity. */
-    std::uint32_t minStepsToEnd = kUnreachableEnd;
 };
 
 /**
@@ -86,7 +76,7 @@ class Program
     void validate() const;
 
   private:
-    /** Build decoded_ (unit lookup + reverse-BFS minStepsToEnd). */
+    /** Build decoded_ (operand copy + unit lookup). */
     void decode();
 
     std::string name_;

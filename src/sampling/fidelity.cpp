@@ -162,7 +162,6 @@ FidelityPilot::runInterval(const isa::Program &program,
     tele.predictedInsts = res.insts;
     tele.backend = "interval";
     tele.backendIntervalCycles = out.cycles();
-    tele.hasDetailedStats = false;
     // The cross-kernel switch point: the first latched launch records
     // where on the timeline the fidelity handoff happened.
     tele.switchCycle = first ? out.startCycle : 0;
@@ -180,9 +179,9 @@ FidelityPilot::runPassthrough(const isa::Program &program,
     timing::RunOptions run_opts;
     run_opts.splitBbAtWaitcnt = cfg_.bbSplitAtWaitcnt;
     run_opts.replay = replay;
-    // No monitor: the run takes the detailed core's fused fast/epoch
-    // paths, so a never-latching kernel pays the pilot nothing beyond
-    // one map lookup per launch.
+    // No monitor: the run takes the detailed core's fast tick, so a
+    // never-latching kernel pays the pilot nothing beyond one map
+    // lookup per launch.
     timing::RunOutcome out =
         gpu_.runKernel(program, dims, mem, nullptr, run_opts);
 
@@ -204,9 +203,6 @@ FidelityPilot::runPassthrough(const isa::Program &program,
     tele.detailedInsts = out.instsIssued;
     tele.detailedWarps = out.wavesCompleted;
     tele.backendDetailedCycles = out.cycles();
-    tele.epochs = out.epochs;
-    tele.epochCycles = out.epochCycleSum;
-    tele.barrierCrossings = out.barrierCrossings;
     return res;
 }
 
@@ -279,9 +275,6 @@ FidelityPilot::runKernel(const isa::Program &program,
     tele.detailedCycles = outcome.cycles();
     tele.detailedInsts = outcome.instsIssued;
     tele.detailedWarps = outcome.wavesCompleted;
-    tele.epochs = outcome.epochs;
-    tele.epochCycles = outcome.epochCycleSum;
-    tele.barrierCrossings = outcome.barrierCrossings;
 
     const SwitchDecision &decision = ctl.decision();
     tele.switchCycle = decision.cycle;

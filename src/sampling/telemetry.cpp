@@ -92,18 +92,8 @@ writeRecord(const KernelTelemetry &t, std::ostream &os)
        << ", \"analysis_reused\": "
        << (t.analysisReused ? "true" : "false")
        << ", \"detailed_fraction\": " << num(t.detailedFraction()) << ",\n"
-       << "     \"wall_seconds\": " << num(t.wallSeconds);
-    // Detailed-only statistics: backends that never ran the detailed
-    // core emit null, not zero — absence must stay distinguishable.
-    if (t.hasDetailedStats) {
-        os << ", \"epochs\": " << t.epochs
-           << ", \"epoch_cycles\": " << t.epochCycles
-           << ", \"barrier_crossings\": " << t.barrierCrossings;
-    } else {
-        os << ", \"epochs\": null, \"epoch_cycles\": null"
-           << ", \"barrier_crossings\": null";
-    }
-    os << ",\n     \"backend\": \"" << jsonEscape(t.backend) << "\""
+       << "     \"wall_seconds\": " << num(t.wallSeconds)
+       << ",\n     \"backend\": \"" << jsonEscape(t.backend) << "\""
        << ", \"backend_detailed_cycles\": " << t.backendDetailedCycles
        << ", \"backend_interval_cycles\": " << t.backendIntervalCycles
        << "}";
@@ -204,7 +194,7 @@ class Reader
         return fail("expected bool");
     }
 
-    /** Consume a literal null if present (nullable v3 statistics). */
+    /** Consume a literal null if present. */
     bool
     tryNull()
     {
@@ -362,27 +352,6 @@ readRecord(Reader &r, KernelTelemetry &t)
         } else if (key == "wall_seconds") {
             if (!r.readNumber(t.wallSeconds))
                 return false;
-        } else if (key == "epochs") {
-            if (r.tryNull())
-                t.hasDetailedStats = false;
-            else if (r.readNumber(d))
-                t.epochs = static_cast<std::uint64_t>(d);
-            else
-                return false;
-        } else if (key == "epoch_cycles") {
-            if (r.tryNull())
-                t.hasDetailedStats = false;
-            else if (r.readNumber(d))
-                t.epochCycles = static_cast<std::uint64_t>(d);
-            else
-                return false;
-        } else if (key == "barrier_crossings") {
-            if (r.tryNull())
-                t.hasDetailedStats = false;
-            else if (r.readNumber(d))
-                t.barrierCrossings = static_cast<std::uint64_t>(d);
-            else
-                return false;
         } else if (key == "backend") {
             if (!r.readString(t.backend))
                 return false;
@@ -395,6 +364,9 @@ readRecord(Reader &r, KernelTelemetry &t)
                 return false;
             t.backendIntervalCycles = static_cast<Cycle>(d);
         } else {
+            // Unknown keys, and keys an older schema carried that this
+            // one dropped (v2/v3 epochs, epoch_cycles,
+            // barrier_crossings: numbers or nulls).
             if (!r.skipValue())
                 return false;
             (void)b;
@@ -429,8 +401,8 @@ writeTelemetryCsv(const std::vector<KernelTelemetry> &records,
           "bb_stable_rate,predicted_cycles,predicted_insts,"
           "detailed_cycles,detailed_insts,detailed_warps,total_warps,"
           "analysis_insts,analysis_reused,detailed_fraction,"
-          "wall_seconds,epochs,epoch_cycles,barrier_crossings,"
-          "backend,backend_detailed_cycles,backend_interval_cycles\n";
+          "wall_seconds,backend,backend_detailed_cycles,"
+          "backend_interval_cycles\n";
     for (const KernelTelemetry &t : records) {
         os << t.kernel << ',' << t.job << ',' << t.numWorkgroups << ','
            << t.wavesPerWorkgroup << ',' << t.levelName() << ','
@@ -447,14 +419,7 @@ writeTelemetryCsv(const std::vector<KernelTelemetry> &records,
            << t.totalWarps << ',' << t.analysisInsts << ','
            << (t.analysisReused ? 1 : 0) << ','
            << num(t.detailedFraction()) << ',' << num(t.wallSeconds)
-           << ',';
-        // Detailed-only statistics: empty cells when never measured.
-        if (t.hasDetailedStats)
-            os << t.epochs << ',' << t.epochCycles << ','
-               << t.barrierCrossings;
-        else
-            os << ",,";
-        os << ',' << t.backend << ',' << t.backendDetailedCycles << ','
+           << ',' << t.backend << ',' << t.backendDetailedCycles << ','
            << t.backendIntervalCycles << "\n";
     }
 }

@@ -46,17 +46,18 @@ const char *sampleLevelName(SampleLevel level);
 /** Version of the emitted telemetry document layout; bumped whenever a
  *  field is added, removed or re-interpreted. Consumers (dashboards,
  *  bench trajectories) key on this to stay comparable across refactors.
- *  The reader accepts any version from 1 up to this: additions are
- *  strictly additive, so older documents load with the new fields at
- *  their defaults.
+ *  The reader accepts any version from 1 up to this: older documents
+ *  load with missing fields at their defaults, and keys a version
+ *  dropped are skipped.
  *  v2: per-kernel wall_seconds + epoch-synchronization statistics
  *  (epochs, epoch_cycles, barrier_crossings).
  *  v3: per-launch timing-backend identity (backend) and per-backend
  *  cycle split (backend_detailed_cycles / backend_interval_cycles);
- *  detailed-only statistics (epochs, epoch_cycles, barrier_crossings)
- *  become nullable — backends that never measured them emit JSON null
- *  (empty CSV cells), never a fake zero. */
-inline constexpr std::uint32_t kTelemetrySchemaVersion = 3;
+ *  the epoch statistics become nullable.
+ *  v4: the epoch statistics are gone with the parallel CU loop that
+ *  produced them; readers skip them (numbers or nulls) in v2/v3
+ *  documents. */
+inline constexpr std::uint32_t kTelemetrySchemaVersion = 4;
 
 /** Everything Photon can report about one kernel launch. */
 struct KernelTelemetry
@@ -86,13 +87,8 @@ struct KernelTelemetry
     std::uint64_t analysisInsts = 0; ///< online-analysis instructions
     bool analysisReused = false;     ///< offline mode hit (Section 6.3)
 
-    // Where simulation time went (schema v2): host wall time for this
-    // launch and the run loop's synchronization behaviour. Epoch stats
-    // are zero for serial or per-cycle-synchronized runs.
+    // Where simulation time went (schema v2).
     double wallSeconds = 0.0;        ///< host wall time of the launch
-    std::uint64_t epochs = 0;        ///< epoch-loop rounds executed
-    std::uint64_t epochCycles = 0;   ///< cycles covered by those epochs
-    std::uint64_t barrierCrossings = 0; ///< thread-barrier crossings
 
     // Fidelity (schema v3): which timing backend produced this
     // launch's prediction and how the cycles split between the
@@ -104,19 +100,6 @@ struct KernelTelemetry
     std::string backend = "detailed";
     Cycle backendDetailedCycles = 0; ///< cycles from the detailed core
     Cycle backendIntervalCycles = 0; ///< cycles from the interval model
-    /** False when the backend never ran the detailed core for this
-     *  launch: the epoch-synchronization statistics above were not
-     *  measured (writers emit null / empty, not zero). */
-    bool hasDetailedStats = true;
-
-    /** Mean epoch horizon length in cycles (0 when no epochs ran). */
-    double
-    meanEpochCycles() const
-    {
-        return epochs ? static_cast<double>(epochCycles) /
-                            static_cast<double>(epochs)
-                      : 0.0;
-    }
 
     /** Share of warps that ran through the detailed model. */
     double

@@ -220,16 +220,14 @@ runDaemon(const DaemonOptions &options)
 
     if (options.verbose) {
         std::printf(
-            "photond: serving on %s%s%s (workers=%u, cu-threads=%u%s, "
-            "store=%s, protocol v%u)\n",
+            "photond: serving on %s%s%s (workers=%u, store=%s, "
+            "protocol v%u)\n",
             options.socketPath.empty() ? "" : options.socketPath.c_str(),
             !options.socketPath.empty() && !options.dropDir.empty()
                 ? " + "
                 : "",
             options.dropDir.empty() ? "" : options.dropDir.c_str(),
             options.server.workers ? options.server.workers : 1,
-            server.effectiveCuThreads(),
-            server.status().cuThreadsDegraded ? " [auto-degraded]" : "",
             options.server.store.path.empty()
                 ? "<none>"
                 : options.server.store.path.c_str(),

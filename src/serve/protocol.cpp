@@ -248,9 +248,6 @@ void
 appendStatus(std::ostringstream &os, const ServerStatus &s)
 {
     os << ", \"workers\": " << s.workers
-       << ", \"cu_threads\": " << s.cuThreads
-       << ", \"cu_threads_degraded\": "
-       << (s.cuThreadsDegraded ? "true" : "false")
        << ", \"queued\": " << s.queued << ", \"running\": " << s.running
        << ", \"submitted\": " << s.submitted
        << ", \"completed\": " << s.completed
@@ -277,8 +274,6 @@ void
 readStatus(const FlatJson &json, ServerStatus &s)
 {
     s.workers = static_cast<std::uint32_t>(json.getU64("workers"));
-    s.cuThreads = static_cast<std::uint32_t>(json.getU64("cu_threads"));
-    s.cuThreadsDegraded = json.getBool("cu_threads_degraded");
     s.queued = json.getU64("queued");
     s.running = json.getU64("running");
     s.submitted = json.getU64("submitted");

@@ -14,19 +14,6 @@ SimServer::SimServer(ServerOptions options)
       queue_(opts_.workers ? opts_.workers : 1)
 {
     std::uint32_t workers = opts_.workers ? opts_.workers : 1;
-    std::uint32_t cores = opts_.assumeCores
-                              ? opts_.assumeCores
-                              : std::thread::hardware_concurrency();
-    if (!cores)
-        cores = 1;
-    cuThreads_ = opts_.cuThreads ? opts_.cuThreads : 1;
-    if (cuThreads_ > 1 && workers >= cores) {
-        warn("serve: ", workers, " resident workers >= ", cores,
-             " cores; degrading --cu-threads ", cuThreads_,
-             " -> 1 (job-level parallelism wins when the box is full)");
-        cuThreads_ = 1;
-        cuThreadsDegraded_ = true;
-    }
     paused_ = opts_.startPaused;
     workers_.reserve(workers);
     for (std::uint32_t i = 0; i < workers; ++i)
@@ -162,8 +149,6 @@ SimServer::status() const
     {
         std::lock_guard<std::mutex> lock(mu_);
         s.workers = static_cast<std::uint32_t>(workers_.size());
-        s.cuThreads = cuThreads_;
-        s.cuThreadsDegraded = cuThreadsDegraded_;
         s.queued = queue_.sizeApprox();
         s.running = running_;
         s.submitted = submitted_;
@@ -232,8 +217,6 @@ SimServer::executeJob(const service::JobSpec &spec)
 
     auto t0 = std::chrono::steady_clock::now();
     driver::Platform platform(gpu, mode, opts_.sampling, backend);
-    if (cuThreads_ > 1)
-        platform.setCuThreads(cuThreads_);
     // Attach the resident trace store: full-mode jobs replay launches
     // any earlier job captured (and capture the ones nobody has);
     // sampled modes consume hits for their analysis passes. The store

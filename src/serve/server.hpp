@@ -18,10 +18,6 @@
  * fingerprint, or same spec before one is learned) collapse onto the
  * one in-flight run: when the leader finishes, its result fans out to
  * every waiter, flagged dedup_collapsed.
- *
- * Workers auto-degrade intra-job --cu-threads to 1 when the resident
- * worker count reaches the core count: job-level parallelism is the
- * winning axis on an oversubscribed box (BENCH_hotloop.json).
  */
 
 #ifndef PHOTON_SERVE_SERVER_HPP
@@ -47,18 +43,11 @@ namespace photon::serve {
 struct ServerOptions
 {
     std::uint32_t workers = 2; ///< resident worker threads (0 acts as 1)
-    /** Requested intra-job CU threads; degraded to 1 when workers >=
-     *  the core count (the degradation is reported in ServerStatus and
-     *  logged once at startup). */
-    std::uint32_t cuThreads = 1;
     SamplingConfig sampling{};
     GlobalStore::Options store{};
     /** Start with the queue held: nothing executes until resume().
      *  Deterministic-admission mode for tests and benches. */
     bool startPaused = false;
-    /** Core count used for the cu-thread degradation decision; 0 =
-     *  std::thread::hardware_concurrency(). */
-    std::uint32_t assumeCores = 0;
     /** Attach the resident functional-trace store to every worker
      *  Platform (DESIGN.md §15): a launch captured by any job replays
      *  for every later job, and traces persist across restarts via the
@@ -88,8 +77,6 @@ struct ServeResult
 struct ServerStatus
 {
     std::uint32_t workers = 0;
-    std::uint32_t cuThreads = 0;      ///< effective per-job CU threads
-    bool cuThreadsDegraded = false;   ///< auto-degraded to 1 at startup
     std::size_t queued = 0;           ///< admitted, not yet running
     std::size_t running = 0;          ///< executing on a worker now
     std::uint64_t submitted = 0;      ///< requests accepted (incl. waiters)
@@ -138,7 +125,6 @@ class SimServer
     PHOTON_PHASE_EXEMPT ServerStatus status() const;
 
     GlobalStore &store() { return store_; }
-    std::uint32_t effectiveCuThreads() const { return cuThreads_; }
 
   private:
     /** One admitted job: the leader's spec plus every rider's ticket. */
@@ -169,8 +155,6 @@ class SimServer
     Ticket finishedTicketLocked(ServeResult result);
 
     ServerOptions opts_;
-    std::uint32_t cuThreads_ = 1;
-    bool cuThreadsDegraded_ = false;
 
     GlobalStore store_;
 

@@ -114,8 +114,7 @@ class Reader
     std::vector<std::uint64_t>
     u64Vec()
     {
-        std::uint32_t n = u32();
-        need(std::size_t{n} * 8);
+        std::uint32_t n = count(8);
         std::vector<std::uint64_t> v(n);
         for (std::uint32_t i = 0; i < n; ++i)
             v[i] = u64();
@@ -125,12 +124,34 @@ class Reader
     std::vector<double>
     dblVec()
     {
-        std::uint32_t n = u32();
-        need(std::size_t{n} * 8);
+        std::uint32_t n = count(8);
         std::vector<double> v(n);
         for (std::uint32_t i = 0; i < n; ++i)
             v[i] = dbl();
         return v;
+    }
+
+    /** A record count, checked against the bytes left at @p min_bytes
+     *  per record, so a corrupt count fails here instead of sizing an
+     *  allocation. */
+    std::uint32_t
+    count(std::size_t min_bytes)
+    {
+        std::uint32_t n = u32();
+        if (std::size_t{n} * min_bytes > bytes_.size() - pos_)
+            throw ParseError("corrupt artifact: count " +
+                             std::to_string(n) + " at offset " +
+                             std::to_string(pos_ - 4) +
+                             " exceeds the remaining bytes");
+        return n;
+    }
+
+    /** Skip @p n bytes (fields an older layout carried). */
+    void
+    skip(std::size_t n)
+    {
+        need(n);
+        pos_ += n;
     }
 
     /** A view of @p n raw bytes (the embedded trace blobs). */
@@ -160,6 +181,14 @@ class Reader
 };
 
 // ----- Composite encoders/decoders -----
+
+// Smallest encoding of each counted record (every string and vector
+// empty), the floor Reader::count checks a declared count against.
+constexpr std::size_t kMinKernelRecordBytes = 4 + 12 + 4 + 3 * 8;
+constexpr std::size_t kMinWarpTypeBytes = 4 + 2 * 8;
+/** The v2 telemetry layout, the shortest of all versions: two strings,
+ *  nine 32-bit and twelve 64-bit fields. */
+constexpr std::size_t kMinTelemetryBytes = 2 * 4 + 9 * 4 + 12 * 8;
 
 void
 putGpuBbv(std::string &out, const sampling::GpuBbv &sig)
@@ -233,7 +262,7 @@ getAnalysis(Reader &r)
     a.totalWarps = r.u32();
     a.sampledWarps = r.u32();
     a.sampledInsts = r.u64();
-    std::uint32_t num_types = r.u32();
+    std::uint32_t num_types = r.count(kMinWarpTypeBytes);
     std::vector<sampling::WarpType> types(num_types);
     for (auto &t : types) {
         t.bbv = sampling::Bbv::fromCounts(r.u64Vec());
@@ -276,13 +305,9 @@ putTelemetry(std::string &out, const sampling::KernelTelemetry &t)
     putU64(out, t.analysisInsts);
     putU32(out, t.analysisReused ? 1 : 0);
     putDouble(out, t.wallSeconds);
-    putU64(out, t.epochs);
-    putU64(out, t.epochCycles);
-    putU64(out, t.barrierCrossings);
     putString(out, t.backend);
     putU64(out, t.backendDetailedCycles);
     putU64(out, t.backendIntervalCycles);
-    putU32(out, t.hasDetailedStats ? 1 : 0);
 }
 
 sampling::KernelTelemetry
@@ -319,15 +344,15 @@ getTelemetry(Reader &r, std::uint32_t version)
     t.analysisReused = r.u32() != 0;
     if (version >= 3) {
         t.wallSeconds = r.dbl();
-        t.epochs = r.u64();
-        t.epochCycles = r.u64();
-        t.barrierCrossings = r.u64();
+        if (version < 6)
+            r.skip(3 * 8); // epochs, epoch cycles, barrier crossings
     }
     if (version >= 4) {
         t.backend = r.str();
         t.backendDetailedCycles = r.u64();
         t.backendIntervalCycles = r.u64();
-        t.hasDetailedStats = r.u32() != 0;
+        if (version < 6)
+            r.skip(4); // hasDetailedStats
     }
     return t;
 }
@@ -427,7 +452,7 @@ deserializeArtifact(std::string_view bytes, Artifact &out)
         for (std::uint32_t gi = 0; gi < num_groups; ++gi) {
             std::string gpu = body.str();
             StoreGroup &g = parsed.groups[gpu];
-            std::uint32_t num_kernels = body.u32();
+            std::uint32_t num_kernels = body.count(kMinKernelRecordBytes);
             g.kernels.reserve(num_kernels);
             for (std::uint32_t i = 0; i < num_kernels; ++i)
                 g.kernels.push_back(getKernelRecord(body));
@@ -437,7 +462,7 @@ deserializeArtifact(std::string_view bytes, Artifact &out)
                 g.analyses.emplace(std::move(key), getAnalysis(body));
             }
             if (version >= 2) {
-                std::uint32_t num_tele = body.u32();
+                std::uint32_t num_tele = body.count(kMinTelemetryBytes);
                 g.telemetry.reserve(num_tele);
                 for (std::uint32_t i = 0; i < num_tele; ++i)
                     g.telemetry.push_back(getTelemetry(body, version));

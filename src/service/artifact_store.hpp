@@ -37,12 +37,14 @@ namespace photon::service {
  *  at their zero defaults.
  *  v4: telemetry records gain the timing-backend fields (backend name,
  *  per-backend cycle split, hasDetailedStats; telemetry schema v3);
- *  v3 records load as detailed-backend with full detailed stats.
+ *  v3 records load as detailed-backend.
  *  v5: adds the top-level functional-trace section (captured
  *  LaunchTrace blobs keyed by func::traceKey). Traces are
  *  micro-architecture independent, so they live outside the per-GPU
- *  groups; v1..v4 artifacts load with an empty trace map. */
-inline constexpr std::uint32_t kArtifactVersion = 5;
+ *  groups; v1..v4 artifacts load with an empty trace map.
+ *  v6: telemetry records drop the epoch statistics and
+ *  hasDetailedStats (telemetry schema v4); v3..v5 records skip them. */
+inline constexpr std::uint32_t kArtifactVersion = 6;
 
 /** Reusable state produced by runs on one GPU configuration. */
 struct StoreGroup

@@ -317,11 +317,6 @@ writeJsonReport(const CampaignResult &result, std::ostream &os)
        << sampling::kTelemetrySchemaVersion << ",\n";
     os << "  \"workers\": " << result.workers << ",\n";
     os << "  \"share\": \"" << jsonEscape(result.share) << "\",\n";
-    os << "  \"cu_threads\": {\"requested\": "
-       << result.cuThreadsRequested
-       << ", \"effective\": " << result.cuThreadsEffective
-       << ", \"degraded\": "
-       << (result.cuThreadsDegraded ? "true" : "false") << "},\n";
     os << "  \"scheduler\": {\"stealing\": "
        << (result.stealing ? "true" : "false")
        << ", \"steal_ops\": " << result.stealOps

@@ -154,12 +154,6 @@ struct CampaignResult
     std::uint32_t workers = 1;
     std::string share;     ///< share-policy name the campaign ran with
     Artifact finalStore;   ///< merged store (seed + everything published)
-    /** CU-thread oversubscription guard: what was asked for, what ran,
-     *  and whether the runner degraded to serial CUs because the active
-     *  job pool already saturated the hardware threads. */
-    std::uint32_t cuThreadsRequested = 0;
-    std::uint32_t cuThreadsEffective = 1;
-    bool cuThreadsDegraded = false;
     /** Work-stealing scheduler observability: whether rebalancing was
      *  enabled and how much actually happened (0 steals on a balanced
      *  batch is normal — stealing only fires when a lane runs dry). */

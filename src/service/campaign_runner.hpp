@@ -94,15 +94,6 @@ struct CampaignOptions
     std::uint32_t workers = 1; ///< thread-pool size (0 behaves as 1)
     SharePolicy share = SharePolicy::Ordered;
     SamplingConfig sampling{};
-    /** Intra-kernel CU threads per job (timing::RunOptions::cuThreads);
-     *  0/1 = serial. Composes with @ref workers: job-level parallelism
-     *  first, CU-level threads for the stragglers. When the active job
-     *  pool alone saturates the hardware threads, the runner degrades
-     *  this to 1 and records the decision in the campaign telemetry. */
-    std::uint32_t cuThreads = 0;
-    /** Pretend the host has this many hardware threads (tests; 0 =
-     *  std::thread::hardware_concurrency()). */
-    std::uint32_t assumeCores = 0;
     /** Work-stealing rebalancing across the worker deques (see
      *  service/work_steal.hpp). false pins every chain to the lane it
      *  was seeded on — the static-partition baseline BENCH_campaign

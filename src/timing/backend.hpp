@@ -61,10 +61,6 @@ struct BackendCaps
     bool cycleLevel = false;
     /** KernelMonitor hooks fire during runs (sampling control plane). */
     bool monitorHooks = false;
-    /** --cu-threads affects the run (parallel CU ticking). */
-    bool cuThreads = false;
-    /** Epoch-synchronization statistics are measured. */
-    bool epochStats = false;
     /** Occupancy integrals (active/busy/wave cycles) are measured. */
     bool occupancyStats = false;
 };
@@ -119,7 +115,7 @@ class TimingBackend
  * The cycle-level model as a TimingBackend: a pass-through adapter
  * over an existing Gpu. Owning nothing and adding nothing, it is
  * bit-identical to calling the Gpu directly — the golden-parity tests
- * pin that in serial and parallel (--cu-threads) modes.
+ * pin that.
  */
 class DetailedBackend final : public TimingBackend
 {
@@ -134,8 +130,6 @@ class DetailedBackend final : public TimingBackend
         BackendCaps c;
         c.cycleLevel = true;
         c.monitorHooks = true;
-        c.cuThreads = true;
-        c.epochStats = true;
         c.occupancyStats = true;
         return c;
     }

@@ -80,7 +80,6 @@ class Dispatcher
     tryDispatch(Cycle now, std::vector<std::uint32_t> *placed = nullptr,
                 bool force = false)
     {
-        PHOTON_ASSERT_PHASE("Dispatcher::tryDispatch");
         if (halted_)
             return;
         if (!retry_ && !force)

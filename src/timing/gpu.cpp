@@ -1,175 +1,14 @@
 #include "timing/gpu.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <memory>
-#include <thread>
 
 #include "isa/basic_block.hpp"
 #include "sim/log.hpp"
 #include "timing/reference.hpp"
 
 namespace photon::timing {
-
-namespace {
-
-/**
- * Sense-reversing spin barrier. The run loop crosses a barrier twice
- * per simulated cycle, so the futex sleep/wake of std::barrier would
- * dominate; workers here spin (with a yield fallback) because the next
- * cycle's work arrives within microseconds.
- */
-class SpinBarrier
-{
-  public:
-    explicit SpinBarrier(std::uint32_t parties)
-        : parties_(parties),
-          // Spinning only makes sense when every party has its own
-          // core; oversubscribed parties must yield the core the
-          // others need to make progress.
-          spinLimit_(parties <= std::thread::hardware_concurrency()
-                         ? 4096u
-                         : 0u)
-    {}
-
-    void
-    arriveAndWait()
-    {
-        std::uint32_t sense = sense_.load(std::memory_order_relaxed);
-        if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            parties_) {
-            count_.store(0, std::memory_order_relaxed);
-            sense_.store(sense ^ 1, std::memory_order_release);
-            return;
-        }
-        std::uint32_t spins = 0;
-        while (sense_.load(std::memory_order_acquire) == sense) {
-            if (++spins > spinLimit_) {
-                std::this_thread::yield();
-                spins = 0;
-            }
-        }
-    }
-
-  private:
-    std::uint32_t parties_;
-    std::uint32_t spinLimit_;
-    std::atomic<std::uint32_t> count_{0};
-    std::atomic<std::uint32_t> sense_{0};
-};
-
-/**
- * Worker pool ticking CUs in parallel, in one of two rounds:
- *
- * Per-cycle round (run): every thread (main included) executes the
- * front halves of its round-robin shard of the due list — CU-private
- * state only — and after the barrier the main thread commits all queued
- * shared-state effects in ascending cuId order.
- *
- * Epoch round (runEpoch): every thread runs its round-robin shard of
- * ALL CUs independently across a whole [from, to) cycle window
- * (ComputeUnit::runEpoch); the caller replays the queued shared-state
- * records at the boundary. Either way the commit order equals the
- * serial visiting order, so the observable state evolution is
- * bit-identical to a single-threaded run. Both rounds cost exactly two
- * barrier crossings — per cycle in the first case, per epoch in the
- * second.
- */
-class EpochPool
-{
-  public:
-    EpochPool(std::vector<ComputeUnit> &cus, std::uint32_t threads)
-        : cus_(cus), threads_(threads), start_(threads), finish_(threads)
-    {
-        for (std::uint32_t t = 0; t + 1 < threads_; ++t)
-            workers_.emplace_back([this, t] { workerMain(t); });
-    }
-
-    ~EpochPool()
-    {
-        stop_.store(true, std::memory_order_relaxed);
-        start_.arriveAndWait();
-        for (std::thread &w : workers_)
-            w.join();
-    }
-
-    EpochPool(const EpochPool &) = delete;
-    EpochPool &operator=(const EpochPool &) = delete;
-
-    /** Tick every CU in @p due (ascending cuId) at @p now; returns the
-     *  number of instructions issued across all of them. */
-    std::uint32_t
-    run(const std::vector<std::uint32_t> &due, Cycle now)
-    {
-        due_ = &due;
-        now_ = now;
-        epoch_ = false;
-        issued_.assign(due.size(), 0);
-        start_.arriveAndWait();
-        shard(threads_ - 1); // main thread participates
-        finish_.arriveAndWait();
-        for (std::uint32_t cu : due)
-            cus_[cu].commitPending(now);
-        std::uint32_t total = 0;
-        for (std::uint32_t v : issued_)
-            total += v;
-        return total;
-    }
-
-    /** Run every CU's epoch front over [from, to); the caller commits
-     *  the queued records afterwards. */
-    void
-    runEpoch(Cycle from, Cycle to)
-    {
-        now_ = from;
-        epochEnd_ = to;
-        epoch_ = true;
-        start_.arriveAndWait();
-        shard(threads_ - 1); // main thread participates
-        finish_.arriveAndWait();
-    }
-
-  private:
-    void
-    workerMain(std::uint32_t tid)
-    {
-        for (;;) {
-            start_.arriveAndWait();
-            if (stop_.load(std::memory_order_relaxed))
-                return;
-            shard(tid);
-            finish_.arriveAndWait();
-        }
-    }
-
-    void
-    shard(std::uint32_t tid)
-    {
-        if (epoch_) {
-            for (std::size_t c = tid; c < cus_.size(); c += threads_)
-                cus_[c].runEpoch(now_, epochEnd_);
-            return;
-        }
-        const std::vector<std::uint32_t> &due = *due_;
-        for (std::size_t i = tid; i < due.size(); i += threads_)
-            issued_[i] = cus_[due[i]].tickDeferred(now_);
-    }
-
-    std::vector<ComputeUnit> &cus_;
-    std::uint32_t threads_;
-    SpinBarrier start_;
-    SpinBarrier finish_;
-    std::vector<std::thread> workers_;
-    const std::vector<std::uint32_t> *due_ = nullptr;
-    Cycle now_ = 0;
-    Cycle epochEnd_ = 0;
-    bool epoch_ = false; ///< round kind; set before the start barrier
-    std::vector<std::uint32_t> issued_; ///< per due-list index
-    std::atomic<bool> stop_{false};
-};
-
-} // namespace
 
 const char *
 kernelPhaseName(KernelPhase phase)
@@ -265,27 +104,12 @@ Gpu::runKernel(const isa::Program &program, const func::LaunchDims &dims,
     residentWaveCount_ = 0;
     wavesPerWg_ = dims.wavesPerWorkgroup;
 
-    std::uint32_t threads =
-        opts.cuThreads ? opts.cuThreads : cuThreadsDefault_;
-    threads = std::max<std::uint32_t>(threads, 1);
-    threads = std::min(threads, cfg_.numCus);
-
     if (monitor) {
         monitor->onKernelPhase(KernelPhase::Launch, now_);
         monitor->onKernelPhase(KernelPhase::Detailed, now_);
     }
 
-    // Epoch synchronization needs monitor-free runs: wantsStop polling
-    // and per-instruction callbacks are cycle-accurate channels the
-    // multi-cycle window cannot reproduce. The IPC trace samples per
-    // cycle for the same reason. Everything else (full-detailed runs,
-    // benches) gets the cheap path.
-    bool epoch_capable = threads > 1 && monitor == nullptr &&
-                         !opts.collectIpcTrace;
-
-    RunOutcome out = epoch_capable
-                         ? runEpochLoop(opts, threads)
-                         : runEventLoop(monitor, opts, threads);
+    RunOutcome out = runEventLoop(monitor, opts);
 
     if (monitor)
         monitor->onKernelPhase(KernelPhase::Complete, now_);
@@ -304,36 +128,27 @@ Gpu::runKernel(const isa::Program &program, const func::LaunchDims &dims,
     activeCyclesTotal_ += out.activeCycles;
     busyCuCyclesTotal_ += out.busyCuCycles;
     waveCyclesTotal_ += out.waveCycles;
-    epochsTotal_ += out.epochs;
-    epochCyclesTotal_ += out.epochCycleSum;
-    barrierCrossingsTotal_ += out.barrierCrossings;
     return out;
 }
 
 RunOutcome
-Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts,
-                  std::uint32_t threads)
+Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts)
 {
     RunOutcome out;
     out.startCycle = now_;
     bool stopping = false;
-
-    std::unique_ptr<EpochPool> pool;
-    if (threads > 1)
-        pool = std::make_unique<EpochPool>(cus_, threads);
 
     std::vector<std::uint32_t> placed;
     std::vector<std::uint32_t> due;
     placed.reserve(cfg_.numCus);
     due.reserve(cfg_.numCus);
 
-    // Monitor-free single-thread runs take the fused tick: no monitor
-    // callbacks or basic-block tracking can be observed, so the CU's
-    // tickFast — which skips both and returns the issue/retire/hint
-    // summary the bookkeeping below needs — produces the identical
-    // simulation schedule while touching the cold CU object only when
-    // a retirement actually happened.
-    const bool fast = monitor == nullptr && !pool;
+    // Monitor-free runs take the fast tick: no monitor callbacks or
+    // basic-block tracking can be observed, so tickFast skips both and
+    // produces the identical simulation schedule. Either tick returns
+    // the issue/retire/hint summary the bookkeeping below needs, so
+    // the cold CU object is touched only when a retirement happened.
+    const bool fast = monitor == nullptr;
 
     while (true) {
         if (monitor && !stopping && monitor->wantsStop(now_)) {
@@ -386,29 +201,15 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts,
         }
 
         std::uint32_t issued = 0;
-        if (fast) {
-            for (std::uint32_t cu : due) {
-                ComputeUnit::FastTick ft = cus_[cu].tickFast(now_);
-                issued += ft.issued;
-                if (ft.retired) {
-                    noteRetirements(cu);
-                    updateBusy(cu);
-                }
-                fileCuAt(cu, ft.hint, now_ + 1);
-            }
-        } else {
-            if (pool && due.size() >= threads) {
-                issued = pool->run(due, now_);
-                out.barrierCrossings += 2;
-            } else {
-                for (std::uint32_t cu : due)
-                    issued += cus_[cu].tick(now_);
-            }
-            for (std::uint32_t cu : due) {
+        for (std::uint32_t cu : due) {
+            ComputeUnit::TickResult t =
+                fast ? cus_[cu].tickFast(now_) : cus_[cu].tick(now_);
+            issued += t.issued;
+            if (t.retired) {
                 noteRetirements(cu);
                 updateBusy(cu);
-                fileCu(cu, now_ + 1);
             }
+            fileCuAt(cu, t.hint, now_ + 1);
         }
 
         if (issued > 0)
@@ -450,115 +251,6 @@ Gpu::runEventLoop(KernelMonitor *monitor, const RunOptions &opts,
     }
 
     out.stoppedEarly = stopping;
-    return out;
-}
-
-RunOutcome
-Gpu::runEpochLoop(const RunOptions &opts, std::uint32_t threads)
-{
-    RunOutcome out;
-    out.startCycle = now_;
-
-    EpochPool pool(cus_, threads);
-    const Cycle lmin = memsys_.minSharedLatency();
-    Cycle cap = opts.maxEpochCycles ? opts.maxEpochCycles
-                                    : epochCapDefault_;
-
-    std::vector<std::uint32_t> placed;
-    placed.reserve(cfg_.numCus);
-    epochCursor_.assign(cfg_.numCus, 0);
-
-    const std::uint32_t n_cus = cfg_.numCus;
-    while (true) {
-        if (dispatcher_.wantsDispatch()) {
-            placed.clear();
-            dispatcher_.tryDispatch(now_, &placed);
-            for (std::uint32_t cu : placed) {
-                residentWaveCount_ += wavesPerWg_;
-                updateBusy(cu);
-            }
-        }
-
-        if (activeCuCount_ == 0) {
-            // Same termination as the per-cycle loops: nothing resident
-            // after dispatching means the kernel is done.
-            if (dispatcher_.allDispatched())
-                break;
-            // Resident work exhausted but workgroups remain: dispatch
-            // capacity must free next cycle (cannot happen — a retiring
-            // wave leaves capacity checked at this cycle). Advance.
-            now_ += 1;
-            continue;
-        }
-
-        // --- Safe horizon -------------------------------------------
-        // base: earliest cycle at which any CU can issue. No shared
-        // effect produced at cycle c >= base becomes observable to
-        // another wavefront before c + lmin, so every CU may tick
-        // independently until base + lmin. Retirements additionally
-        // must land on the final epoch cycle only (they free dispatch
-        // capacity and change the occupancy integrals mid-loop in the
-        // serial schedule), so the horizon also respects the earliest
-        // possible retirement + 1.
-        Cycle base = kNoCycle;
-        for (std::uint32_t c = 0; c < n_cus; ++c) {
-            if (!cus_[c].idle())
-                base = std::min(base, cus_[c].nextHint());
-        }
-        if (base == kNoCycle) {
-            // Every resident wavefront is barrier-blocked: a deadlocked
-            // kernel. Mirror the serial loops' behavior (spin forward).
-            now_ += 1;
-            continue;
-        }
-        base = std::max(base, now_);
-
-        Cycle horizon = base + lmin;
-        for (std::uint32_t c = 0; c < n_cus; ++c) {
-            if (!cus_[c].idle())
-                horizon = std::min(horizon,
-                                   cus_[c].epochRetireBound(base));
-        }
-        if (cap)
-            horizon = std::min(horizon, base + cap);
-        horizon = std::max(horizon, now_ + 1);
-
-        // --- Parallel front over [base, horizon) --------------------
-        pool.runEpoch(base, horizon);
-        out.barrierCrossings += 2;
-        ++out.epochs;
-        out.epochCycleSum += horizon - base;
-
-        // --- Boundary: replay shared effects in serial order --------
-        std::fill(epochCursor_.begin(), epochCursor_.end(), 0);
-        for (Cycle c = base; c < horizon; ++c) {
-            for (std::uint32_t cu = 0; cu < n_cus; ++cu) {
-                std::uint32_t &cur = epochCursor_[cu];
-                const std::uint32_t count = cus_[cu].epochRecordCount();
-                while (cur < count &&
-                       cus_[cu].epochRecordCycle(cur) == c) {
-                    cus_[cu].commitEpochRecord(cur);
-                    ++cur;
-                }
-            }
-        }
-        for (std::uint32_t cu = 0; cu < n_cus; ++cu)
-            cus_[cu].finishEpochCommit();
-
-        // --- Accounting, matching the serial piecewise integrals ----
-        // Occupancy is constant from now_ until the epoch's final cycle
-        // (retirements cannot land earlier by the horizon bound), then
-        // the final cycle is accounted with post-retirement counts —
-        // exactly the serial post-tick accounting at horizon - 1.
-        accountAdvance(out, horizon - 1 - now_);
-        for (std::uint32_t cu = 0; cu < n_cus; ++cu) {
-            noteRetirements(cu);
-            updateBusy(cu);
-        }
-        accountAdvance(out, 1);
-        now_ = horizon;
-    }
-
     return out;
 }
 
@@ -648,14 +340,6 @@ Gpu::exportStats(StatRegistry &stats) const
     stats.set("gpu.busy_cu_cycles",
               static_cast<double>(busyCuCyclesTotal_));
     stats.set("gpu.wave_cycles", static_cast<double>(waveCyclesTotal_));
-    stats.set("gpu.epochs", static_cast<double>(epochsTotal_));
-    stats.set("gpu.epoch_cycles", static_cast<double>(epochCyclesTotal_));
-    stats.set("gpu.barrier_crossings",
-              static_cast<double>(barrierCrossingsTotal_));
-    if (epochsTotal_ > 0)
-        stats.set("gpu.mean_epoch_cycles",
-                  static_cast<double>(epochCyclesTotal_) /
-                      static_cast<double>(epochsTotal_));
     if (activeCyclesTotal_ > 0) {
         stats.set("gpu.avg_busy_cus",
                   static_cast<double>(busyCuCyclesTotal_) /

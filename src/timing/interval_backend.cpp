@@ -535,8 +535,8 @@ IntervalBackend::runKernel(const isa::Program &program,
     out.endCycle = end;
     out.wavesCompleted = dims.totalWaves();
     out.firstUndispatchedWg = dims.numWorkgroups;
-    // Occupancy integrals and epoch statistics stay 0: this backend
-    // does not measure them (caps() says so; telemetry reports null).
+    // Occupancy integrals stay 0: this backend does not measure them
+    // (caps() says so).
 
     gpu_.skipTime(out.endCycle - out.startCycle);
 

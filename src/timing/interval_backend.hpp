@@ -22,8 +22,8 @@
  * deliberately NOT cycle-parity with the detailed core: there is no
  * event loop, no MSHR or bank contention and no inter-warp
  * interference beyond slot occupancy and the aggregate throughput
- * floors. BackendCaps reflects that — no monitor hooks, no epoch or
- * occupancy statistics (consumers report them as null, never zero).
+ * floors. BackendCaps reflects that — no monitor hooks and no
+ * occupancy statistics.
  *
  * Layering: this header must stay free of src/sampling includes (the
  * CI hygiene grep pins every timing header); the interval-model reuse
@@ -130,7 +130,7 @@ class IntervalBackend final : public TimingBackend
     /** Per-kernel fits plus the L1/L2 tag proxies (deliberately warm
      *  across kernels, like the machine's caches). The store has a
      *  single owner (one backend per job); tagged anyway so any
-     *  future cross-job sharing trips the phase checks instead of
+     *  future cross-job sharing trips the lock-set check instead of
      *  racing silently. */
     PHOTON_SHARED_STATE
     std::unique_ptr<Impl> impl_;

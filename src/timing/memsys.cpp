@@ -29,7 +29,6 @@ MemorySystem::MemorySystem(const GpuConfig &cfg)
 Cycle
 MemorySystem::l2Access(std::uint64_t lineAddr, Cycle now)
 {
-    PHOTON_ASSERT_PHASE("MemorySystem::l2Access");
     SetAssocCache &bank = l2_[lineAddr % cfg_.l2Banks];
     Cycle start = bank.reservePort(now);
     if (bank.probe(lineAddr))
@@ -74,7 +73,6 @@ MemorySystem::vectorProbe(std::uint32_t cuId, std::uint64_t lineAddr,
 Cycle
 MemorySystem::vectorCommitMiss(std::uint32_t cuId, const VmemMiss &miss)
 {
-    PHOTON_ASSERT_PHASE("MemorySystem::vectorCommitMiss");
     Cycle &mshr = mshrFree_[cuId][miss.mshrIdx];
     Cycle miss_start = std::max(miss.missBase, mshr);
     Cycle fill = l2Access(miss.line, miss_start);
@@ -86,7 +84,6 @@ Cycle
 MemorySystem::scalarAccess(std::uint32_t cuId, std::uint64_t lineAddr,
                            Cycle now)
 {
-    PHOTON_ASSERT_PHASE("MemorySystem::scalarAccess");
     SetAssocCache &l1 = l1k_[cuId / kCusPerL1Group];
     Cycle start = l1.reservePort(now);
     if (l1.probe(lineAddr))
@@ -98,28 +95,11 @@ Cycle
 MemorySystem::instAccess(std::uint32_t cuId, std::uint64_t lineAddr,
                          Cycle now)
 {
-    PHOTON_ASSERT_PHASE("MemorySystem::instAccess");
     SetAssocCache &l1 = l1i_[cuId / kCusPerL1Group];
     Cycle start = l1.reservePort(now);
     if (l1.probe(lineAddr))
         return start + l1.hitLatency();
     return l2Access(lineAddr, start + l1.hitLatency());
-}
-
-Cycle
-MemorySystem::minSharedLatency() const
-{
-    // Every shared-touching path starts with an L1 lookup whose port
-    // reservation returns >= now (cache.hpp), so data-ready is at least
-    // now + the L1 hit latency on that path; an L1V access only becomes
-    // shared on a miss, which pays l1v.hit before entering L2 and l2.hit
-    // at minimum inside it. The floor of 1 keeps the epoch loop moving
-    // even under degenerate zero-latency configs.
-    Cycle inst_path = cfg_.l1i.hitLatency;
-    Cycle scalar_path = cfg_.l1k.hitLatency;
-    Cycle vector_path = cfg_.l1v.hitLatency + cfg_.l2.hitLatency;
-    return std::max<Cycle>(
-        1, std::min({inst_path, scalar_path, vector_path}));
 }
 
 void

@@ -56,12 +56,12 @@ class MemorySystem
 
     /**
      * CU-private half of a vector access: L1V port + tag lookup (with
-     * fill-on-miss) and MSHR ring allocation. Touches only per-CU state,
-     * so distinct CUs may probe concurrently. On a miss the returned
+     * fill-on-miss) and MSHR ring allocation. On a miss the returned
      * missBase/mshrIdx must be passed to vectorCommitMiss later — in
-     * probe order — to walk the shared L2/DRAM path.
+     * probe order — to walk the shared L2/DRAM path. The split lets an
+     * issue probe all of its lines before its instruction fetch and
+     * walk the misses after it.
      */
-    PHOTON_PHASE_FRONT
     VmemProbe vectorProbe(std::uint32_t cuId, std::uint64_t lineAddr,
                           Cycle now);
 
@@ -86,16 +86,6 @@ class MemorySystem
      *  nondeterministic breaks run-to-run reproducibility. */
     PHOTON_DET_SINK
     void exportStats(StatRegistry &stats) const;
-
-    /**
-     * Lower bound, in cycles, between a CU *starting* any access that
-     * can reach shared state (L1I fetch, L1K scalar, or an L1V miss
-     * entering L2) and the earliest cycle the shared effect can become
-     * visible to another CU. The epoch scheduler uses this as the safe
-     * parallel horizon: within fewer cycles than this, concurrently
-     * ticking CUs cannot observe each other's shared-memory effects.
-     */
-    Cycle minSharedLatency() const;
 
     const SetAssocCache &l1v(std::uint32_t cuId) const
     {

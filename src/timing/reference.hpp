@@ -95,9 +95,9 @@ class ReferenceCu
     /** Issue slot's wavefront at @p now: functional step, per-unit
      *  latency switch, memory-system walk, monitor callbacks, barrier
      *  and retirement bookkeeping — all inline, in the same shared-state
-     *  order as the event core's issueFront/commitIssue pair. The whole
-     *  engine is serial-only, so these carry the commit-phase tag: the
-     *  linter must treat them like the event core's commit halves. */
+     *  order as the event core's issue body. The whole engine is
+     *  serial-only, so these carry the commit-phase tag: the linter's
+     *  lock-set pass treats their writes as single-threaded. */
     PHOTON_PHASE_COMMIT
     void issueWave(std::uint32_t slot, Cycle now);
     PHOTON_PHASE_COMMIT

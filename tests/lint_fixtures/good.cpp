@@ -1,4 +1,4 @@
-// photon_lint fixture: annotated code that FOLLOWS the phase contract.
+// photon_lint fixture: annotated code that FOLLOWS the contracts.
 // Analyzed by the linter only — never compiled, so the annotation
 // macros appear as bare markers.
 
@@ -7,7 +7,7 @@ struct GoodShared
     PHOTON_SHARED_STATE
     int total_ = 0;
 
-    // Internally synchronized: callable from any phase.
+    // Internally synchronized: callable from any thread.
     PHOTON_PHASE_EXEMPT
     void publish(int v);
 
@@ -19,8 +19,7 @@ struct GoodEngine
 {
     int scratch_ = 0;
 
-    PHOTON_PHASE_FRONT
-    void frontStep(int v);
+    void step(int v);
 
     PHOTON_PHASE_COMMIT
     void commitStep(int v);
@@ -39,7 +38,7 @@ GoodShared::commitAdd(int v)
 }
 
 void
-GoodEngine::frontStep(int v)
+GoodEngine::step(int v)
 {
     scratch_ += v; // private state: allowed
     publish(v);    // exempt callee: allowed

@@ -193,6 +193,36 @@ TEST(ArtifactStore, RejectsTruncation)
         EXPECT_FALSE(st.ok) << "prefix of " << len << " bytes accepted";
         EXPECT_TRUE(back.groups.empty());
     }
+
+    // Record counts far beyond the bytes behind them must fail before
+    // anything is sized by them: 0xFFFFFFFF kernel records in a 26-byte
+    // artifact, and 0xFFFFFFFF telemetry records in a 34-byte one.
+    auto u32 = [](std::string &out, std::uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    };
+    std::string head = "PHAS";
+    u32(head, kArtifactVersion);
+    u32(head, 1); // one group
+    u32(head, 6);
+    head += "r9nano";
+    std::string kernels = head;
+    u32(kernels, 0xFFFFFFFFu);
+    std::string telemetry = head;
+    u32(telemetry, 0);           // kernel records
+    u32(telemetry, 0);           // analyses
+    u32(telemetry, 0xFFFFFFFFu); // telemetry records
+    ASSERT_EQ(kernels.size(), 26u);
+    ASSERT_EQ(telemetry.size(), 34u);
+    for (const std::string &corrupt : {kernels, telemetry}) {
+        Artifact back;
+        LoadStatus st;
+        EXPECT_NO_THROW(st = deserializeArtifact(corrupt, back))
+            << corrupt.size() << "-byte artifact";
+        EXPECT_FALSE(st.ok) << corrupt.size() << "-byte artifact accepted";
+        EXPECT_NE(st.error.find("count"), std::string::npos) << st.error;
+        EXPECT_TRUE(back.groups.empty());
+    }
 }
 
 TEST(ArtifactStore, RejectsTrailingBytes)

@@ -219,8 +219,6 @@ TEST(DetailedBackend, ReproducesGoldenNumbersWithFullCaps)
     auto caps = p.activeBackend().caps();
     EXPECT_TRUE(caps.cycleLevel);
     EXPECT_TRUE(caps.monitorHooks);
-    EXPECT_TRUE(caps.cuThreads);
-    EXPECT_TRUE(caps.epochStats);
     EXPECT_TRUE(caps.occupancyStats);
     EXPECT_STREQ(p.activeBackend().name(), "detailed");
 
@@ -230,7 +228,6 @@ TEST(DetailedBackend, ReproducesGoldenNumbersWithFullCaps)
     EXPECT_EQ(r.insts, 37696ull);
     ASSERT_FALSE(r.telemetry.empty());
     EXPECT_EQ(r.telemetry[0].backend, "detailed");
-    EXPECT_TRUE(r.telemetry[0].hasDetailedStats);
 }
 
 // ----- Interval backend -----
@@ -246,8 +243,6 @@ TEST(IntervalBackend, DeterministicWithNoCaps)
         auto caps = p.activeBackend().caps();
         EXPECT_FALSE(caps.cycleLevel);
         EXPECT_FALSE(caps.monitorHooks);
-        EXPECT_FALSE(caps.cuThreads);
-        EXPECT_FALSE(caps.epochStats);
         EXPECT_FALSE(caps.occupancyStats);
         EXPECT_STREQ(p.activeBackend().name(), "interval");
 
@@ -256,8 +251,6 @@ TEST(IntervalBackend, DeterministicWithNoCaps)
         EXPECT_GT(r.insts, 0ull);
         ASSERT_FALSE(r.telemetry.empty());
         EXPECT_EQ(r.telemetry[0].backend, "interval");
-        // Detailed-only statistics are absent, not zero.
-        EXPECT_FALSE(r.telemetry[0].hasDetailedStats);
         EXPECT_EQ(r.telemetry[0].backendDetailedCycles, 0ull);
         EXPECT_EQ(r.telemetry[0].backendIntervalCycles, r.cycles);
 

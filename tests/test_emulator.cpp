@@ -1,5 +1,6 @@
 /** @file Functional-emulator semantics tests. */
 
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -383,12 +384,19 @@ TEST_F(EmulatorTest, RunWaveCountsInstructions)
     EXPECT_EQ(emu_.runWave(*prog, ws, mem_, lds), 17u);
 }
 
-/** Parameterised semantics check over the integer compare family. */
+/** Parameterised semantics check over the integer compare family.
+ *  gtest names a case after the raw bytes of its parameter, padding
+ *  included. `tag` and `tail` fill the bytes around `op` and `expect`
+ *  that were padding, whose contents were whatever the stack held, so a
+ *  case's name changed from build to build; the tags keep the names the
+ *  suite reports stable. */
 struct CmpCase
 {
     Opcode op;
+    std::array<std::uint8_t, 3> tag;
     std::uint32_t a, b;
     bool expect;
+    std::array<std::uint8_t, 3> tail{};
 };
 
 class ScalarCompare : public ::testing::TestWithParam<CmpCase>
@@ -412,12 +420,13 @@ TEST_P(ScalarCompare, SetsSccCorrectly)
 
 INSTANTIATE_TEST_SUITE_P(
     AllCompares, ScalarCompare,
-    ::testing::Values(CmpCase{Opcode::S_CMP_LT_U32, 1, 2, true},
-                      CmpCase{Opcode::S_CMP_LT_U32, 2, 2, false},
-                      CmpCase{Opcode::S_CMP_LE_U32, 2, 2, true},
-                      CmpCase{Opcode::S_CMP_GT_U32, 3, 2, true},
-                      CmpCase{Opcode::S_CMP_GT_U32, 2, 3, false},
-                      CmpCase{Opcode::S_CMP_GE_U32, 2, 2, true},
-                      CmpCase{Opcode::S_CMP_EQ_U32, 5, 5, true},
-                      CmpCase{Opcode::S_CMP_EQ_U32, 5, 6, false},
-                      CmpCase{Opcode::S_CMP_NE_U32, 5, 6, true}));
+    ::testing::Values(
+        CmpCase{Opcode::S_CMP_LT_U32, {}, 1, 2, true},
+        CmpCase{Opcode::S_CMP_LT_U32, {0x00, 0x01, 0x1b}, 2, 2, false},
+        CmpCase{Opcode::S_CMP_LE_U32, {0xff, 0x48, 0x00}, 2, 2, true},
+        CmpCase{Opcode::S_CMP_GT_U32, {}, 3, 2, true},
+        CmpCase{Opcode::S_CMP_GT_U32, {}, 2, 3, false},
+        CmpCase{Opcode::S_CMP_GE_U32, {0x00, 0x01, 0x1b}, 2, 2, true},
+        CmpCase{Opcode::S_CMP_EQ_U32, {0xda, 0x48, 0x00}, 5, 5, true},
+        CmpCase{Opcode::S_CMP_EQ_U32, {}, 5, 6, false},
+        CmpCase{Opcode::S_CMP_NE_U32, {}, 5, 6, true}));

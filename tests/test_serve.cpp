@@ -106,8 +106,6 @@ TEST(ServeProtocol, ResponseRoundTripWithStatus)
     resp.ok = true;
     resp.hasStatus = true;
     resp.status.workers = 3;
-    resp.status.cuThreads = 1;
-    resp.status.cuThreadsDegraded = true;
     resp.status.submitted = 10;
     resp.status.completed = 9;
     resp.status.store.cacheHits = 7;
@@ -120,10 +118,26 @@ TEST(ServeProtocol, ResponseRoundTripWithStatus)
     ASSERT_TRUE(back.hasStatus);
     EXPECT_FALSE(back.hasResult);
     EXPECT_EQ(back.status.workers, 3u);
-    EXPECT_TRUE(back.status.cuThreadsDegraded);
     EXPECT_EQ(back.status.store.cacheHits, 7u);
     EXPECT_EQ(back.status.store.dedupCollapsed, 2u);
     EXPECT_EQ(back.status.storeKernelRecords, 5u);
+
+    // A status line from an older daemon still carries the per-job CU
+    // thread keys; they are skipped and every other field parses.
+    std::string line = encodeResponse(resp);
+    const std::string workers = "\"workers\": 3";
+    std::size_t at = line.find(workers);
+    ASSERT_NE(at, std::string::npos) << line;
+    line.insert(at + workers.size(),
+                ", \"cu_threads\": 4, \"cu_threads_degraded\": true");
+    Response old;
+    ASSERT_TRUE(decodeResponse(line, old, &err)) << err << "\n" << line;
+    ASSERT_TRUE(old.hasStatus);
+    EXPECT_EQ(old.status.workers, 3u);
+    EXPECT_EQ(old.status.submitted, 10u);
+    EXPECT_EQ(old.status.completed, 9u);
+    EXPECT_EQ(old.status.store.cacheHits, 7u);
+    EXPECT_EQ(old.status.storeKernelRecords, 5u);
 }
 
 TEST(ServeProtocol, RejectsMissingAndFutureVersions)
@@ -324,27 +338,6 @@ TEST(SimServer, ConcurrentMixedRequestsMatchSerialResults)
     StoreStats stats = server.store().stats();
     EXPECT_EQ(stats.dedupCollapsed + stats.jobsExecuted, clients);
 }
-
-TEST(SimServer, StatusReportsDegradedCuThreads)
-{
-    ServerOptions o = tinyServer(4);
-    o.cuThreads = 8;
-    o.assumeCores = 4; // workers >= cores -> degrade
-    SimServer server(o);
-    ServerStatus s = server.status();
-    EXPECT_EQ(s.cuThreads, 1u);
-    EXPECT_TRUE(s.cuThreadsDegraded);
-    EXPECT_EQ(server.effectiveCuThreads(), 1u);
-
-    ServerOptions keep = tinyServer(2);
-    keep.cuThreads = 2;
-    keep.assumeCores = 16; // plenty of cores -> keep the request
-    SimServer server2(keep);
-    EXPECT_EQ(server2.effectiveCuThreads(), 2u);
-    EXPECT_FALSE(server2.status().cuThreadsDegraded);
-}
-
-// ----- Checkpoint / restart -----
 
 TEST(SimServer, RestartReloadsCheckpointedStore)
 {

@@ -1,11 +1,13 @@
 /** @file Tests for the per-kernel telemetry spine: deterministic JSON /
  *  CSV serialization, the schema-versioned round trip (current schema
- *  plus v1-document compatibility), and telemetry persistence through
- *  the binary artifact store (v3, with v1/v2 load compatibility). */
+ *  plus v1..v3-document compatibility), and telemetry persistence
+ *  through the binary artifact store (with v1..v5 load
+ *  compatibility). */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sampling/telemetry.hpp"
 #include "service/artifact_store.hpp"
@@ -43,20 +45,81 @@ sampleRecord()
     t.analysisInsts = 4096;
     t.analysisReused = false;
     t.wallSeconds = 1.2345678901234567;
-    t.epochs = 321;
-    t.epochCycles = 2568;
-    t.barrierCrossings = 642;
-    // v4 fields: every slot non-default so the round-trips exercise
-    // them independently (hasDetailedStats stays true to match the
-    // nonzero epoch counters above — the JSON writer nulls those out
-    // for a record that says it never ran the detailed core).
-    // "interval" is 8 chars like the default, keeping the v4 tail at
-    // 32 bytes (the loader-compat tests below rely on that size).
+    // Backend fields: every slot non-default so the round-trips
+    // exercise them independently. "interval" is 8 chars like the
+    // default, keeping the backend tail at 28 bytes (the loader-compat
+    // tests below rely on that size).
     t.backend = "interval";
     t.backendDetailedCycles = 31408;
     t.backendIntervalCycles = 80895;
-    t.hasDetailedStats = true;
     return t;
+}
+
+/** Bytes of sampleRecord's tail behind its v2 layout in the current
+ *  artifact encoding: wall_seconds, the backend string and the two
+ *  backend cycle counters. */
+constexpr std::size_t kRecordTailBytes = 8 + (4 + 8) + 2 * 8;
+
+void
+putLe(std::string &out, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+/**
+ * Re-encode a current artifact holding one sampleRecord in the layout
+ * of artifact @p version (3..5): the epoch triple (epochs, epoch
+ * cycles, barrier crossings) behind wall_seconds, the hasDetailedStats
+ * flag behind the backend fields (v4+), and the trace count (v5).
+ */
+std::string
+legacyArtifact(std::string bytes, std::uint32_t version)
+{
+    const std::size_t tail = bytes.size() - 4 - kRecordTailBytes;
+    std::string wall = bytes.substr(tail, 8);
+    std::string backend = bytes.substr(tail + 8, kRecordTailBytes - 8);
+    bytes.resize(tail);
+    bytes[4] = static_cast<char>(version);
+    bytes += wall;
+    putLe(bytes, 321, 8);  // epochs
+    putLe(bytes, 2568, 8); // epoch cycles
+    putLe(bytes, 642, 8);  // barrier crossings
+    if (version >= 4) {
+        bytes += backend;
+        putLe(bytes, 1, 4); // hasDetailedStats
+    }
+    if (version >= 5)
+        putLe(bytes, 0, 4); // empty trace section
+    return bytes;
+}
+
+/**
+ * Re-write a current telemetry document in the layout of schema
+ * @p version (2 or 3): the epoch statistics after wall_seconds —
+ * numbers, or JSON nulls as v3 backends without a detailed core wrote
+ * them — and, for v2, no backend fields.
+ */
+std::string
+legacyDocument(std::string doc, std::uint32_t version, bool nulls)
+{
+    const std::string ver = "\"schema_version\": ";
+    std::size_t v = doc.find(ver) + ver.size();
+    doc.replace(v, doc.find(',', v) - v, std::to_string(version));
+    const std::string epochs =
+        nulls ? ", \"epochs\": null, \"epoch_cycles\": null, "
+                "\"barrier_crossings\": null"
+              : ", \"epochs\": 321, \"epoch_cycles\": 2568, "
+                "\"barrier_crossings\": 642";
+    const std::string backend = ",\n     \"backend\": ";
+    for (std::size_t at = doc.find(backend); at != std::string::npos;
+         at = doc.find(backend, at)) {
+        if (version < 3)
+            doc.erase(at, doc.find('}', at) - at);
+        doc.insert(at, epochs);
+        at = doc.find('}', at);
+    }
+    return doc;
 }
 
 void
@@ -86,13 +149,9 @@ expectEqual(const KernelTelemetry &a, const KernelTelemetry &b)
     EXPECT_EQ(a.analysisInsts, b.analysisInsts);
     EXPECT_EQ(a.analysisReused, b.analysisReused);
     EXPECT_EQ(a.wallSeconds, b.wallSeconds);
-    EXPECT_EQ(a.epochs, b.epochs);
-    EXPECT_EQ(a.epochCycles, b.epochCycles);
-    EXPECT_EQ(a.barrierCrossings, b.barrierCrossings);
     EXPECT_EQ(a.backend, b.backend);
     EXPECT_EQ(a.backendDetailedCycles, b.backendDetailedCycles);
     EXPECT_EQ(a.backendIntervalCycles, b.backendIntervalCycles);
-    EXPECT_EQ(a.hasDetailedStats, b.hasDetailedStats);
 }
 
 } // namespace
@@ -122,7 +181,7 @@ TEST(Telemetry, JsonRoundTripIsBitExact)
                        std::to_string(kTelemetrySchemaVersion)),
               std::string::npos);
     EXPECT_NE(doc.find("\"wall_seconds\""), std::string::npos);
-    EXPECT_NE(doc.find("\"epochs\""), std::string::npos);
+    EXPECT_EQ(doc.find("\"epochs\""), std::string::npos);
 
     std::vector<KernelTelemetry> parsed;
     std::string err;
@@ -136,6 +195,31 @@ TEST(Telemetry, JsonRoundTripIsBitExact)
     std::ostringstream os2;
     writeTelemetryJson(parsed, os2);
     EXPECT_EQ(doc, os2.str());
+
+    // v3 documents carry the epoch statistics (numbers, or nulls from
+    // backends without a detailed core); they are skipped and every
+    // other field round-trips.
+    for (bool nulls : {false, true}) {
+        std::string legacy = legacyDocument(doc, 3, nulls);
+        ASSERT_NE(legacy.find("\"barrier_crossings\""), std::string::npos);
+        ASSERT_TRUE(readTelemetryJson(legacy, parsed, &err)) << err;
+        ASSERT_EQ(parsed.size(), records.size());
+        for (std::size_t i = 0; i < records.size(); ++i)
+            expectEqual(records[i], parsed[i]);
+    }
+    // v2 documents carry the epoch statistics but no backend fields,
+    // which keep their defaults.
+    std::string v2 = legacyDocument(doc, 2, false);
+    ASSERT_EQ(v2.find("\"backend\""), std::string::npos);
+    ASSERT_TRUE(readTelemetryJson(v2, parsed, &err)) << err;
+    ASSERT_EQ(parsed.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        KernelTelemetry expect = records[i];
+        expect.backend = "detailed";
+        expect.backendDetailedCycles = 0;
+        expect.backendIntervalCycles = 0;
+        expectEqual(expect, parsed[i]);
+    }
 }
 
 TEST(Telemetry, EmptyDocumentRoundTrips)
@@ -176,8 +260,8 @@ TEST(Telemetry, ReaderSkipsUnknownKeysForForwardCompat)
     EXPECT_EQ(parsed[0].totalWarps, 8u);
 }
 
-/** Schema v1 documents (no wall_seconds / epoch statistics) still load;
- *  the absent fields stay at their zero defaults. */
+/** Schema v1 documents (no wall_seconds) still load; the absent fields
+ *  stay at their zero defaults. */
 TEST(Telemetry, V1DocumentLoadsWithZeroEpochStats)
 {
     std::string doc =
@@ -189,9 +273,6 @@ TEST(Telemetry, V1DocumentLoadsWithZeroEpochStats)
     ASSERT_EQ(parsed.size(), 1u);
     EXPECT_EQ(parsed[0].predictedCycles, 100u);
     EXPECT_EQ(parsed[0].wallSeconds, 0.0);
-    EXPECT_EQ(parsed[0].epochs, 0u);
-    EXPECT_EQ(parsed[0].epochCycles, 0u);
-    EXPECT_EQ(parsed[0].barrierCrossings, 0u);
 }
 
 TEST(Telemetry, CsvCarriesSchemaVersionHeader)
@@ -206,6 +287,7 @@ TEST(Telemetry, CsvCarriesSchemaVersionHeader)
     EXPECT_NE(csv.find("kernel,job,workgroups"), std::string::npos);
     EXPECT_NE(csv.find("mm_tiled,"), std::string::npos);
     EXPECT_NE(csv.find(",warp,"), std::string::npos);
+    EXPECT_EQ(csv.find("epoch"), std::string::npos);
 }
 
 TEST(Telemetry, DetailedFractionDefinition)
@@ -253,18 +335,16 @@ TEST(Telemetry, ArtifactLoaderStillAcceptsV1)
 
 TEST(Telemetry, ArtifactLoaderStillAcceptsV2)
 {
-    // v2 telemetry records end after the analysis_reused flag. Behind
-    // it sit the v3 additions (wall_seconds + three epoch counters =
-    // 32 bytes) and the v4 additions (backend string "interval" = 12
-    // bytes, two cycle counters, the detailed-stats flag = 32 bytes).
-    // Synthesize a v2 artifact by patching the version and truncating
-    // both tails off the last record.
+    // v2 telemetry records end after the analysis_reused flag; behind
+    // it sit wall_seconds and the backend fields. Synthesize a v2
+    // artifact by patching the version and truncating that tail and
+    // the trace count off the last record.
     service::Artifact art;
     art.group("tiny").telemetry.push_back(sampleRecord());
     std::string bytes = service::serializeArtifact(art);
-    ASSERT_GE(bytes.size(), 8u + 68u);
-    bytes[4] = 2;                              // version -> 2
-    bytes.resize(bytes.size() - 68);           // drop v3+v4 tails + v5 traces
+    ASSERT_GE(bytes.size(), 8u + 4u + kRecordTailBytes);
+    bytes[4] = 2; // version -> 2
+    bytes.resize(bytes.size() - 4 - kRecordTailBytes);
     service::Artifact back;
     service::LoadStatus st = service::deserializeArtifact(bytes, back);
     ASSERT_TRUE(st.ok) << st.error;
@@ -272,34 +352,34 @@ TEST(Telemetry, ArtifactLoaderStillAcceptsV2)
     const KernelTelemetry &t = back.groups.at("tiny").telemetry[0];
     EXPECT_EQ(t.kernel, "mm_tiled");
     EXPECT_EQ(t.predictedCycles, 112303u);
-    EXPECT_EQ(t.wallSeconds, 0.0);   // v3 fields default to zero
-    EXPECT_EQ(t.epochs, 0u);
-    EXPECT_EQ(t.barrierCrossings, 0u);
+    EXPECT_EQ(t.wallSeconds, 0.0); // v3 fields default to zero
     // v4 fields keep their declared defaults: a pre-backend record is
-    // a detailed-core record with full detailed statistics.
+    // a detailed-core record.
     EXPECT_EQ(t.backend, "detailed");
     EXPECT_EQ(t.backendDetailedCycles, 0u);
     EXPECT_EQ(t.backendIntervalCycles, 0u);
-    EXPECT_TRUE(t.hasDetailedStats);
 }
 
 TEST(Telemetry, ArtifactLoaderStillAcceptsV3)
 {
-    // A v3 record ends after the epoch counters; the v4 backend tail
-    // ("interval" string + cycle split + flag = 32 bytes) follows it.
+    // v3..v5 records carry the epoch triple behind wall_seconds, and
+    // v4/v5 the hasDetailedStats flag behind the backend fields; the
+    // loader skips them and keeps every other field.
     service::Artifact art;
     art.group("tiny").telemetry.push_back(sampleRecord());
-    std::string bytes = service::serializeArtifact(art);
-    ASSERT_GE(bytes.size(), 8u + 36u);
-    bytes[4] = 3;                              // version -> 3
-    bytes.resize(bytes.size() - 36);           // drop v4 tail + v5 traces
-    service::Artifact back;
-    service::LoadStatus st = service::deserializeArtifact(bytes, back);
-    ASSERT_TRUE(st.ok) << st.error;
-    ASSERT_EQ(back.numTelemetryRecords(), 1u);
-    const KernelTelemetry &t = back.groups.at("tiny").telemetry[0];
-    EXPECT_EQ(t.wallSeconds, 1.2345678901234567); // v3 fields kept
-    EXPECT_EQ(t.epochs, 321u);
-    EXPECT_EQ(t.backend, "detailed"); // v4 defaults: detailed record
-    EXPECT_TRUE(t.hasDetailedStats);
+    const std::string bytes = service::serializeArtifact(art);
+    for (std::uint32_t version : {3u, 4u, 5u}) {
+        service::Artifact back;
+        service::LoadStatus st = service::deserializeArtifact(
+            legacyArtifact(bytes, version), back);
+        ASSERT_TRUE(st.ok) << "v" << version << ": " << st.error;
+        ASSERT_EQ(back.numTelemetryRecords(), 1u);
+        KernelTelemetry expect = sampleRecord();
+        if (version < 4) { // v4 defaults: detailed record
+            expect.backend = "detailed";
+            expect.backendDetailedCycles = 0;
+            expect.backendIntervalCycles = 0;
+        }
+        expectEqual(expect, back.groups.at("tiny").telemetry[0]);
+    }
 }

@@ -1,5 +1,6 @@
 /** @file Parameterised semantics sweep over the vector ALU. */
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <set>
@@ -40,9 +41,16 @@ bits(float f)
     return std::bit_cast<std::uint32_t>(f);
 }
 
+/** gtest names a case after the raw bytes of its parameter, padding
+ *  included. `tag` fills the bytes after `op` that were padding, whose
+ *  contents were whatever the stack held, so a case's name changed from
+ *  build to build; the tags keep the names the suite reports stable. */
+using CaseTag = std::array<std::uint8_t, 3>;
+
 struct BinCase
 {
     Opcode op;
+    CaseTag tag;
     std::uint32_t a, b, expect;
 };
 
@@ -61,36 +69,45 @@ TEST_P(VectorBinary, Lane0Semantics)
 INSTANTIATE_TEST_SUITE_P(
     IntegerOps, VectorBinary,
     ::testing::Values(
-        BinCase{Opcode::V_ADD_U32, 7, 8, 15},
-        BinCase{Opcode::V_ADD_U32, 0xffffffff, 2, 1}, // wraps
-        BinCase{Opcode::V_SUB_U32, 3, 5, 0xfffffffe},
-        BinCase{Opcode::V_MUL_LO_U32, 0x10000, 0x10000, 0}, // low bits
-        BinCase{Opcode::V_LSHL_B32, 1, 31, 0x80000000},
-        BinCase{Opcode::V_LSHL_B32, 1, 33, 2}, // shift amount masked
-        BinCase{Opcode::V_LSHR_B32, 0x80000000, 31, 1},
-        BinCase{Opcode::V_ASHR_I32, 0x80000000, 31, 0xffffffff},
-        BinCase{Opcode::V_AND_B32, 0xff00ff00, 0x0ff00ff0, 0x0f000f00},
-        BinCase{Opcode::V_OR_B32, 0xf0f0f0f0, 0x0f0f0f0f, 0xffffffff},
-        BinCase{Opcode::V_XOR_B32, 0xffff0000, 0xff00ff00, 0x00ffff00},
-        BinCase{Opcode::V_MAX_U32, 5, 9, 9},
-        BinCase{Opcode::V_MIN_U32, 5, 9, 5}));
+        BinCase{Opcode::V_ADD_U32, {}, 7, 8, 15},
+        BinCase{Opcode::V_ADD_U32, {}, 0xffffffff, 2, 1}, // wraps
+        BinCase{Opcode::V_SUB_U32, {}, 3, 5, 0xfffffffe},
+        BinCase{Opcode::V_MUL_LO_U32, {0x2d, 0x67, 0x74}, 0x10000,
+                0x10000, 0}, // low bits
+        BinCase{Opcode::V_LSHL_B32, {0x73, 0x00, 0x73}, 1, 31, 0x80000000},
+        BinCase{Opcode::V_LSHL_B32, {}, 1, 33, 2}, // shift amount masked
+        BinCase{Opcode::V_LSHR_B32, {}, 0x80000000, 31, 1},
+        BinCase{Opcode::V_ASHR_I32, {0x00, 0x01, 0x1b}, 0x80000000, 31,
+                0xffffffff},
+        BinCase{Opcode::V_AND_B32, {0xff, 0x48, 0x00}, 0xff00ff00, 0x0ff00ff0,
+                0x0f000f00},
+        BinCase{Opcode::V_OR_B32, {}, 0xf0f0f0f0, 0x0f0f0f0f, 0xffffffff},
+        BinCase{Opcode::V_XOR_B32, {}, 0xffff0000, 0xff00ff00, 0x00ffff00},
+        BinCase{Opcode::V_MAX_U32, {0x00, 0x01, 0x1b}, 5, 9, 9},
+        BinCase{Opcode::V_MIN_U32, {0xda, 0x48, 0x00}, 5, 9, 5}));
 
 INSTANTIATE_TEST_SUITE_P(
     FloatOps, VectorBinary,
     ::testing::Values(
-        BinCase{Opcode::V_ADD_F32, bits(1.5f), bits(2.25f), bits(3.75f)},
-        BinCase{Opcode::V_SUB_F32, bits(1.0f), bits(4.0f), bits(-3.0f)},
-        BinCase{Opcode::V_MUL_F32, bits(3.0f), bits(-2.0f), bits(-6.0f)},
-        BinCase{Opcode::V_MAX_F32, bits(-1.0f), bits(2.0f), bits(2.0f)},
-        BinCase{Opcode::V_MIN_F32, bits(-1.0f), bits(2.0f), bits(-1.0f)}));
+        BinCase{Opcode::V_ADD_F32, {}, bits(1.5f), bits(2.25f), bits(3.75f)},
+        BinCase{Opcode::V_SUB_F32, {}, bits(1.0f), bits(4.0f), bits(-3.0f)},
+        BinCase{Opcode::V_MUL_F32, {}, bits(3.0f), bits(-2.0f), bits(-6.0f)},
+        BinCase{Opcode::V_MAX_F32, {0xfd, 0xa7, 0x39}, bits(-1.0f), bits(2.0f),
+                bits(2.0f)},
+        BinCase{Opcode::V_MIN_F32, {0x4c, 0xaa, 0x43}, bits(-1.0f), bits(2.0f),
+                bits(-1.0f)}));
 
 namespace {
 
+/** `tag` and `tail` fill the padding around `op` and `expect`, as in
+ *  BinCase. */
 struct CmpCase
 {
     Opcode op;
+    CaseTag tag;
     std::uint32_t a, b;
     bool expect;
+    CaseTag tail;
 };
 
 class VectorCompare : public ::testing::TestWithParam<CmpCase>
@@ -119,17 +136,25 @@ TEST_P(VectorCompare, Lane0VccBit)
 INSTANTIATE_TEST_SUITE_P(
     AllCompares, VectorCompare,
     ::testing::Values(
-        CmpCase{Opcode::V_CMP_LT_U32, 1, 2, true},
-        CmpCase{Opcode::V_CMP_GE_U32, 2, 2, true},
-        CmpCase{Opcode::V_CMP_EQ_U32, 3, 3, true},
-        CmpCase{Opcode::V_CMP_NE_U32, 3, 3, false},
+        CmpCase{Opcode::V_CMP_LT_U32, {}, 1, 2, true, {0x55, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_GE_U32, {}, 2, 2, true, {0x55, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_EQ_U32, {0xfd, 0xa7, 0x39}, 3, 3, true,
+                {0x7f, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_NE_U32, {0x17, 0xa8, 0x39}, 3, 3, false,
+                {0xba, 0x54, 0x80}},
         // Signed: -1 < 1 but 0xffffffff > 1 unsigned.
-        CmpCase{Opcode::V_CMP_LT_I32, 0xffffffff, 1, true},
-        CmpCase{Opcode::V_CMP_LT_U32, 0xffffffff, 1, false},
-        CmpCase{Opcode::V_CMP_GE_I32, 0, 0xffffffff, true},
-        CmpCase{Opcode::V_CMP_LT_F32, bits(-2.5f), bits(1.0f), true},
-        CmpCase{Opcode::V_CMP_GT_F32, bits(-2.5f), bits(1.0f), false},
-        CmpCase{Opcode::V_CMP_GE_F32, bits(1.0f), bits(1.0f), true}));
+        CmpCase{Opcode::V_CMP_LT_I32, {0xfd, 0xa7, 0x39}, 0xffffffff, 1, true,
+                {0xba, 0x54, 0x80}},
+        CmpCase{Opcode::V_CMP_LT_U32, {}, 0xffffffff, 1, false,
+                {0xff, 0xff, 0xff}},
+        CmpCase{Opcode::V_CMP_GE_I32, {}, 0, 0xffffffff, true,
+                {0x55, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_LT_F32, {}, bits(-2.5f), bits(1.0f), true,
+                {0x55, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_GT_F32, {0xfd, 0xa7, 0x39}, bits(-2.5f),
+                bits(1.0f), false, {0x7f, 0x00, 0x00}},
+        CmpCase{Opcode::V_CMP_GE_F32, {0x4c, 0xaa, 0x43}, bits(1.0f),
+                bits(1.0f), true, {0x55, 0x00, 0x00}}));
 
 namespace {
 

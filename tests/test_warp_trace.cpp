@@ -1,9 +1,9 @@
 /** @file Tests for functional trace capture/replay (DESIGN.md §15):
  *  step-by-step replay fidelity against the emulator, blob and
- *  artifact-store-v5 round trips, corrupt-input rejection, replayed
- *  platform runs bit-identical to emulated ones (serial and with CU
- *  threads), and a photond warm restart that answers a full-detailed
- *  job without a single emulator invocation. */
+ *  artifact-store round trips, corrupt-input rejection, replayed
+ *  platform runs bit-identical to emulated ones, and a photond warm
+ *  restart that answers a full-detailed job without a single emulator
+ *  invocation. */
 
 #include <gtest/gtest.h>
 
@@ -362,8 +362,7 @@ struct PlatformRun
 
 PlatformRun
 runFullDetailed(const char *workload, std::uint32_t size,
-                std::uint32_t cu_threads, TraceStore *shared,
-                bool trace_reuse)
+                TraceStore *shared, bool trace_reuse)
 {
     GpuConfig gpu;
     driver::SimMode mode;
@@ -371,8 +370,6 @@ runFullDetailed(const char *workload, std::uint32_t size,
     EXPECT_TRUE(service::parseGpuName("tiny", gpu, &err)) << err;
     EXPECT_TRUE(service::parseMode("full", mode, &err)) << err;
     driver::Platform p(gpu, mode, SamplingConfig{});
-    if (cu_threads > 1)
-        p.setCuThreads(cu_threads);
     p.setTraceReuse(trace_reuse);
     if (shared)
         p.setTraceStore(shared);
@@ -413,12 +410,12 @@ TEST(WarpTraceReplay, BitIdenticalToEmulationAcrossWorkloads)
              {"spmv", 128, true},
              {"pagerank", 64, true}}) {
         PlatformRun emulated =
-            runFullDetailed(c.workload, c.size, 1, nullptr, false);
+            runFullDetailed(c.workload, c.size, nullptr, false);
         EXPECT_EQ(emulated.captures, 0u) << c.workload;
 
         TraceStore shared;
         PlatformRun captured =
-            runFullDetailed(c.workload, c.size, 1, &shared, true);
+            runFullDetailed(c.workload, c.size, &shared, true);
         if (c.traceable)
             EXPECT_GT(captured.captures, 0u) << c.workload;
         else
@@ -427,7 +424,7 @@ TEST(WarpTraceReplay, BitIdenticalToEmulationAcrossWorkloads)
         EXPECT_EQ(captured.insts, emulated.insts) << c.workload;
 
         PlatformRun replayed =
-            runFullDetailed(c.workload, c.size, 1, &shared, true);
+            runFullDetailed(c.workload, c.size, &shared, true);
         if (c.traceable) {
             EXPECT_GT(replayed.hits, 0u) << c.workload;
             EXPECT_EQ(replayed.misses, 0u) << c.workload;
@@ -437,39 +434,6 @@ TEST(WarpTraceReplay, BitIdenticalToEmulationAcrossWorkloads)
         EXPECT_EQ(replayed.captures, 0u) << c.workload;
         EXPECT_EQ(replayed.cycles, emulated.cycles) << c.workload;
         EXPECT_EQ(replayed.insts, emulated.insts) << c.workload;
-    }
-}
-
-TEST(WarpTraceReplay, BitIdenticalUnderCuThreads)
-{
-    // Every core workload, replayed under intra-kernel CU
-    // parallelism: the cursor is per-wave-slot state, so threaded
-    // issue must stay bit-identical to the serial emulated run.
-    struct Case
-    {
-        const char *workload;
-        std::uint32_t size;
-    };
-    for (const Case &c : std::initializer_list<Case>{
-             {"relu", 128}, {"fir", 128}, {"sc", 128}, {"mm", 64},
-             {"mmtiled", 64}, {"aes", 64}, {"spmv", 128},
-             {"pagerank", 64}}) {
-        TraceStore shared;
-        runFullDetailed(c.workload, c.size, 1, &shared, true); // capture
-        for (std::uint32_t threads : {2u, 4u}) {
-            PlatformRun emulated =
-                runFullDetailed(c.workload, c.size, threads, nullptr,
-                                false);
-            PlatformRun replayed =
-                runFullDetailed(c.workload, c.size, threads, &shared,
-                                true);
-            EXPECT_EQ(replayed.misses, 0u)
-                << c.workload << " x" << threads;
-            EXPECT_EQ(replayed.cycles, emulated.cycles)
-                << c.workload << " x" << threads;
-            EXPECT_EQ(replayed.insts, emulated.insts)
-                << c.workload << " x" << threads;
-        }
     }
 }
 

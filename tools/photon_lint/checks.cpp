@@ -1,148 +1,17 @@
 /**
  * @file
- * The two analysis passes over the merged program model: phase-safety
- * reachability from PHOTON_PHASE_FRONT roots, and the model-level
- * determinism checks (unordered iteration, uninitialized members).
+ * Model-level analysis passes over the merged program model: the
+ * determinism checks (unordered iteration, uninitialized members) and
+ * the data-layout check.
  */
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <set>
 
 #include "model.hpp"
 
 namespace photon::lint {
-
-namespace {
-
-/** name -> indices of all functions with that bare name. */
-std::multimap<std::string, std::size_t>
-buildNameIndex(const Model &model)
-{
-    std::multimap<std::string, std::size_t> index;
-    for (std::size_t k = 0; k < model.functions.size(); ++k)
-        index.emplace(model.functions[k].name, k);
-    return index;
-}
-
-struct Edge
-{
-    std::size_t parent = 0;
-    CallSite site;
-};
-
-/** Root-first chain of "Class::name (file:line)" entries. */
-std::vector<std::string>
-chainTo(const Model &model, std::size_t node,
-        const std::map<std::size_t, Edge> &parents, std::size_t root)
-{
-    std::vector<std::string> rev;
-    std::size_t cur = node;
-    while (cur != root) {
-        const Edge &e = parents.at(cur);
-        rev.push_back(model.functions[cur].display() + " (" +
-                      e.site.file + ":" + std::to_string(e.site.line) +
-                      ")");
-        cur = e.parent;
-    }
-    const Function &r = model.functions[root];
-    rev.push_back(r.display() + " (" + r.file + ":" +
-                  std::to_string(r.line) + ")");
-    std::reverse(rev.begin(), rev.end());
-    return rev;
-}
-
-} // namespace
-
-void
-checkPhases(const Model &model, std::vector<Diagnostic> &out)
-{
-    const auto name_index = buildNameIndex(model);
-
-    std::set<std::string> shared_fields;
-    for (const Field &f : model.fields) {
-        if (f.tagShared)
-            shared_fields.insert(f.name);
-    }
-
-    for (std::size_t root = 0; root < model.functions.size(); ++root) {
-        if (!model.functions[root].tagFront)
-            continue;
-
-        std::deque<std::size_t> queue{root};
-        std::set<std::size_t> visited{root};
-        std::map<std::size_t, Edge> parents;
-
-        while (!queue.empty()) {
-            std::size_t cur = queue.front();
-            queue.pop_front();
-            const Function &fn = model.functions[cur];
-
-            for (const MutationSite &mut : fn.mutations) {
-                if (!shared_fields.count(mut.target))
-                    continue;
-                Diagnostic d;
-                d.kind = Kind::FrontSharedWrite;
-                d.file = mut.file;
-                d.line = mut.line;
-                d.message = "write ('" + mut.how +
-                            "') to shared-state field '" + mut.target +
-                            "' is reachable from a front-phase function";
-                d.chain = chainTo(model, cur, parents, root);
-                d.chain.push_back("write to '" + mut.target + "' (" +
-                                  mut.file + ":" +
-                                  std::to_string(mut.line) + ")");
-                out.push_back(std::move(d));
-            }
-
-            for (const CallSite &site : fn.calls) {
-                auto range = name_index.equal_range(site.callee);
-                for (auto it = range.first; it != range.second; ++it) {
-                    std::size_t cand = it->second;
-                    const Function &callee = model.functions[cand];
-                    if (callee.tagExempt)
-                        continue;
-                    if (callee.tagShared || callee.tagCommit) {
-                        bool commit_waived =
-                            callee.tagCommit && !callee.tagShared &&
-                            site.waivedSerial;
-                        if (!commit_waived) {
-                            Diagnostic d;
-                            d.kind = callee.tagShared
-                                         ? Kind::FrontSharedCall
-                                         : Kind::FrontCommitCall;
-                            d.file = site.file;
-                            d.line = site.line;
-                            d.message =
-                                (callee.tagShared
-                                     ? "call to shared-state method '"
-                                     : "call to commit-phase function '") +
-                                callee.display() +
-                                "' from a front-phase closure" +
-                                (callee.tagCommit && !callee.tagShared
-                                     ? " (waive an intentionally serial"
-                                       " call site with"
-                                       " `// photon-lint: serial-only`)"
-                                     : "");
-                            d.chain =
-                                chainTo(model, cur, parents, root);
-                            d.chain.push_back(
-                                callee.display() + " (" + site.file +
-                                ":" + std::to_string(site.line) + ")");
-                            out.push_back(std::move(d));
-                        }
-                        continue; // never traverse into commit/shared
-                    }
-                    if (visited.insert(cand).second) {
-                        parents[cand] = {cur, site};
-                        queue.push_back(cand);
-                    }
-                }
-            }
-        }
-    }
-}
 
 namespace {
 

@@ -17,12 +17,6 @@ const char *
 kindName(Kind kind)
 {
     switch (kind) {
-    case Kind::FrontSharedWrite:
-        return "front-shared-write";
-    case Kind::FrontSharedCall:
-        return "front-shared-call";
-    case Kind::FrontCommitCall:
-        return "front-commit-call";
     case Kind::NondeterministicCall:
         return "nondeterministic-call";
     case Kind::UnorderedIteration:
@@ -51,8 +45,6 @@ analyzeFiles(const std::vector<std::string> &files, const Options &options)
         parseFile(lexFile(path), model, options);
 
     std::vector<Diagnostic> diags;
-    if (options.phaseCheck)
-        checkPhases(model, diags);
     if (options.determinismCheck) {
         checkDeterminism(model, diags);
         diags.insert(diags.end(), model.tokenDiags.begin(),

@@ -8,7 +8,7 @@
  *
  * This is deliberately not a real C++ front end: photon_lint works on
  * token patterns and a name-level call graph (see DESIGN.md §9), which
- * is enough to enforce the annotated phase contract without a libclang
+ * is enough to enforce the annotated contracts without a libclang
  * dependency.
  */
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Flow-sensitive lock-set / phase-write analysis (DESIGN.md §9).
+ * Flow-sensitive lock-set analysis (DESIGN.md §9).
  *
  * For every function with a CFG, a must-hold set of mutex names flows
  * forward through the graph (join = intersection over reachable
@@ -187,7 +187,7 @@ checkLockset(const Model &model, std::vector<Diagnostic> &out)
     const std::set<std::size_t> closure = commitClosure(model, byName);
 
     // Field name -> annotated field records (name-level matching,
-    // consistent with the phase check).
+    // consistent with the other checks).
     std::map<std::string, std::vector<const Field *>> fieldsByName;
     for (const Field &f : model.fields) {
         if (!f.guardMutex.empty() || f.tagShared)

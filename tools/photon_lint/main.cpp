@@ -2,7 +2,7 @@
  * @file
  * photon_lint CLI.
  *
- * Usage: photon_lint [--no-phase] [--no-determinism] [--no-aos]
+ * Usage: photon_lint [--no-determinism] [--no-aos]
  *                    [--no-lockset] [--no-taint] [--json[=PATH]]
  *                    <file-or-dir>...
  *
@@ -61,9 +61,7 @@ main(int argc, char **argv)
     std::string jsonPath;
     for (int k = 1; k < argc; ++k) {
         std::string arg = argv[k];
-        if (arg == "--no-phase") {
-            options.phaseCheck = false;
-        } else if (arg == "--no-determinism") {
+        if (arg == "--no-determinism") {
             options.determinismCheck = false;
         } else if (arg == "--no-aos") {
             options.aosCheck = false;
@@ -77,7 +75,7 @@ main(int argc, char **argv)
             json = true;
             jsonPath = arg.substr(7);
         } else if (arg == "--help" || arg == "-h") {
-            std::printf("usage: photon_lint [--no-phase] "
+            std::printf("usage: photon_lint "
                         "[--no-determinism] [--no-aos] "
                         "[--no-lockset] [--no-taint] "
                         "[--json[=PATH]] <file-or-dir>...\n");

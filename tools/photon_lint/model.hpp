@@ -26,7 +26,6 @@ struct CallSite
     std::string callee; ///< bare name
     std::string file;
     int line = 0;
-    bool waivedSerial = false; ///< "// photon-lint: serial-only"
 };
 
 struct MutationSite
@@ -51,7 +50,6 @@ struct Function
     std::string name;
     std::string file;
     int line = 0;
-    bool tagFront = false;
     bool tagCommit = false;
     bool tagShared = false;
     bool tagExempt = false;
@@ -123,9 +121,6 @@ struct Model
 
 /** Parse one lexed file into the model. */
 void parseFile(const LexedFile &file, Model &model, const Options &options);
-
-/** Phase-safety pass over the merged model. */
-void checkPhases(const Model &model, std::vector<Diagnostic> &out);
 
 /** Whole-model determinism checks (unordered iteration, uninitialized
  *  members); token-level findings are already in tokenDiags. */
