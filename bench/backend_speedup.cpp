@@ -65,11 +65,9 @@ runOnce(const std::string &name, std::uint32_t size,
 {
     driver::Platform platform(GpuConfig::r9Nano(),
                               driver::SimMode::FullDetailed, {}, kind);
-    // Each rep is a fresh platform with a private trace store, so
-    // capture could never pay for itself here — and this bench
-    // compares the backends' own timing paths, not trace economics
-    // (bench/trace_reuse owns that). Measure with the trace layer off.
-    platform.setTraceReuse(false);
+    // No trace store is attached: this bench compares the backends'
+    // own timing paths, not trace economics (bench/trace_reuse owns
+    // that), so every launch emulates inline.
     workloads::WorkloadPtr w = factory();
     w->setup(platform);
     workloads::runWorkload(*w, platform);

@@ -135,18 +135,15 @@ Platform::launch(const isa::ProgramPtr &program,
         // warps, so capturing (a full functional run) would cost more
         // than it saves — but a trace captured elsewhere (campaign
         // sibling, photond warm state) replaces the per-warp analysis
-        // emulation bit-identically.
-        func::LaunchTracePtr trace;
-        if (traceReuse_ && func::traceable(*program)) {
-            trace =
-                traceStore_->lookup(func::traceKey(*program, dims, mem_));
-            if (trace)
-                ++traceHits_;
-            else
-                ++traceMisses_;
+        // emulation bit-identically. The sampler resolves it lazily: a
+        // launch its caches answer never hashes memory.
+        sampling::PhotonSampler::TraceResolver resolve;
+        if (traceStore_ && func::traceable(*program)) {
+            resolve = [&] {
+                return lookupTrace(func::traceKey(*program, dims, mem_));
+            };
         }
-        result.sample =
-            photon_->runKernel(*program, dims, mem_, trace.get());
+        result.sample = photon_->runKernel(*program, dims, mem_, resolve);
         break;
       }
       case SimMode::Pka:
@@ -173,23 +170,33 @@ Platform::launch(const isa::ProgramPtr &program,
 }
 
 func::LaunchTracePtr
+Platform::lookupTrace(const std::string &key)
+{
+    func::LaunchTracePtr trace = traceStore_->lookup(key);
+    if (trace)
+        ++traceHits_;
+    else
+        ++traceMisses_;
+    return trace;
+}
+
+func::LaunchTracePtr
 Platform::acquireTrace(const isa::Program &program,
                        const func::LaunchDims &dims)
 {
-    if (!traceReuse_ || !func::traceable(program))
+    if (!traceStore_ || !func::traceable(program))
         return nullptr;
-    const std::string key = func::traceKey(program, dims, mem_);
-    func::LaunchTracePtr trace = traceStore_->lookup(key);
+    const std::uint64_t mem_hash = mem_.contentHash();
+    const std::string key = func::traceKey(program, dims, mem_hash);
+    func::LaunchTracePtr trace = lookupTrace(key);
     if (trace) {
-        ++traceHits_;
         // Replay never writes memory; land the launch's stores up
         // front (replay reads nothing, so ordering is immaterial and
         // the final state matches an emulated launch bit-for-bit).
         func::applyAllStores(*trace, mem_);
         return trace;
     }
-    ++traceMisses_;
-    trace = func::captureLaunchTrace(program, dims, mem_);
+    trace = func::captureLaunchTrace(program, dims, mem_, mem_hash);
     ++traceCaptures_;
     traceStore_->insert(key, trace);
     return trace;

@@ -125,19 +125,12 @@ class Platform
 
     // ----- Functional trace reuse (DESIGN.md §15) -----
 
-    /** Share a trace cache with other platforms (campaign workers,
-     *  photond); null restores the private per-platform store. The
-     *  store must outlive the platform. */
-    void setTraceStore(func::TraceStore *store)
-    {
-        traceStore_ = store ? store : &ownTraceStore_;
-    }
-    func::TraceStore &traceStore() { return *traceStore_; }
-
-    /** Disable capture-once/replay-many (--no-trace-reuse ablation):
-     *  every launch re-executes register semantics. */
-    void setTraceReuse(bool on) { traceReuse_ = on; }
-    bool traceReuse() const { return traceReuse_; }
+    /** Attach a trace cache, usually shared with other platforms
+     *  (campaign workers, photond, photon_sim --trace-cache); null
+     *  detaches it. Trace reuse is on exactly while a store is
+     *  attached: without one no launch hashes memory, looks up or
+     *  captures a trace. The store must outlive the platform. */
+    void setTraceStore(func::TraceStore *store) { traceStore_ = store; }
 
     /** Launches served by a cached trace (emulation skipped). */
     std::uint64_t traceHits() const { return traceHits_; }
@@ -154,10 +147,13 @@ class Platform
     StatRegistry stats() const;
 
   private:
+    /** Look @p key up in the attached store, counting a hit or miss. */
+    func::LaunchTracePtr lookupTrace(const std::string &key);
+
     /** Lookup-or-capture for a full-detailed launch: on a hit, applies
      *  the trace's store log to memory (replay runs never write); on a
      *  miss, captures (which executes the launch functionally). Null
-     *  when reuse is off or the program is untraceable. */
+     *  when no store is attached or the program is untraceable. */
     func::LaunchTracePtr acquireTrace(const isa::Program &program,
                                       const func::LaunchDims &dims);
 
@@ -173,10 +169,7 @@ class Platform
     std::unique_ptr<sampling::PhotonSampler> photon_;
     std::unique_ptr<sampling::PkaSampler> pka_;
 
-    /** Private trace cache; traceStore_ points here unless shared. */
-    func::TraceStore ownTraceStore_;
-    func::TraceStore *traceStore_ = &ownTraceStore_;
-    bool traceReuse_ = true;
+    func::TraceStore *traceStore_ = nullptr;
     std::uint64_t traceHits_ = 0;
     std::uint64_t traceMisses_ = 0;
     std::uint64_t traceCaptures_ = 0;

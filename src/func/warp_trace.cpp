@@ -237,7 +237,7 @@ traceable(const isa::Program &program)
 
 std::string
 traceKey(const isa::Program &program, const LaunchDims &dims,
-         const GlobalMemory &mem)
+         std::uint64_t mem_hash)
 {
     std::string key = program.name();
     key += '@';
@@ -249,13 +249,13 @@ traceKey(const isa::Program &program, const LaunchDims &dims,
     key += '@';
     key += hex64(dims.kernargBase);
     key += '@';
-    key += hex64(mem.contentHash());
+    key += hex64(mem_hash);
     return key;
 }
 
 LaunchTracePtr
 captureLaunchTrace(const isa::Program &program, const LaunchDims &dims,
-                   GlobalMemory &mem)
+                   GlobalMemory &mem, std::uint64_t mem_hash)
 {
     PHOTON_ASSERT(traceable(program), "capturing an untraceable program");
 
@@ -265,7 +265,7 @@ captureLaunchTrace(const isa::Program &program, const LaunchDims &dims,
     trace->numWorkgroups = dims.numWorkgroups;
     trace->wavesPerWorkgroup = dims.wavesPerWorkgroup;
     trace->kernargBase = dims.kernargBase;
-    trace->memFingerprint = mem.contentHash();
+    trace->memFingerprint = mem_hash;
 
     const std::uint32_t total = dims.totalWaves();
     trace->warps.resize(total);

@@ -106,21 +106,40 @@ using LaunchTracePtr = std::shared_ptr<const LaunchTrace>;
 bool traceable(const isa::Program &program);
 
 /** Cache key for one launch: program identity (content hash), launch
- *  geometry and the pre-launch memory fingerprint. Micro-architecture
- *  independent by construction. */
+ *  geometry and the pre-launch memory fingerprint @p mem_hash
+ *  (GlobalMemory::contentHash()). Micro-architecture independent by
+ *  construction. */
 std::string traceKey(const isa::Program &program, const LaunchDims &dims,
-                     const GlobalMemory &mem);
+                     std::uint64_t mem_hash);
+
+/** traceKey() of @p mem's current contents (hashes all of it). */
+inline std::string
+traceKey(const isa::Program &program, const LaunchDims &dims,
+         const GlobalMemory &mem)
+{
+    return traceKey(program, dims, mem.contentHash());
+}
 
 /**
  * Capture a launch's trace by running every warp functionally to
  * completion (in warp order, per-warp zeroed LDS stand-in). Stores are
  * applied to @p mem exactly as a cold functional pass would — after a
  * capture the memory state equals a fully emulated launch's.
- * Requires traceable(program).
+ * @p mem_hash is @p mem's pre-launch contentHash(), which a caller that
+ * just keyed the launch already holds. Requires traceable(program).
  */
 LaunchTracePtr captureLaunchTrace(const isa::Program &program,
                                   const LaunchDims &dims,
-                                  GlobalMemory &mem);
+                                  GlobalMemory &mem,
+                                  std::uint64_t mem_hash);
+
+/** captureLaunchTrace() that hashes @p mem itself. */
+inline LaunchTracePtr
+captureLaunchTrace(const isa::Program &program, const LaunchDims &dims,
+                   GlobalMemory &mem)
+{
+    return captureLaunchTrace(program, dims, mem, mem.contentHash());
+}
 
 /** Re-apply one warp's store log to @p mem (replay of its writes). */
 void applyWarpStores(const LaunchTrace &trace, WarpId warp,

@@ -52,7 +52,7 @@ KernelRunResult
 PhotonSampler::runKernel(const isa::Program &program,
                          const func::LaunchDims &dims,
                          func::GlobalMemory &mem,
-                         const func::LaunchTrace *trace)
+                         const TraceResolver &resolve)
 {
     KernelRunResult res;
     KernelTelemetry &tele = res.telemetry;
@@ -64,13 +64,18 @@ PhotonSampler::runKernel(const isa::Program &program,
     isa::BasicBlockTable bb_table(program, cfg_.bbSplitAtWaitcnt);
 
     // Step 1: online analysis (or reuse — the offline mode of §6.3).
+    // A fresh analysis writes its sampled warps' stores, so the trace
+    // lookup (which keys on memory contents) must precede it.
+    func::LaunchTracePtr trace;
     std::string key = launchKey(program, dims);
     auto it = analyses_.find(key);
     bool reused = it != analyses_.end();
     if (!reused) {
+        if (resolve)
+            trace = resolve();
         it = analyses_
                  .emplace(key, analyzeKernel(program, bb_table, dims, mem,
-                                             cfg_, trace))
+                                             cfg_, trace.get()))
                  .first;
     }
     const OnlineAnalysis &analysis = it->second;
@@ -95,6 +100,10 @@ PhotonSampler::runKernel(const isa::Program &program,
     }
 
     // Step 3: detailed simulation with the control plane attached.
+    // The block-level epilogue replays from the trace, so a reused
+    // analysis looks it up now, while memory is still pre-launch.
+    if (reused && resolve)
+        trace = resolve();
     WarpSampler warp_sampler(analysis, cfg_);
     BbSampler bb_sampler(program, bb_table, analysis, cfg_,
                          gpu_.config());
@@ -162,7 +171,7 @@ PhotonSampler::runKernel(const isa::Program &program,
             for (WarpId w = dispatched_warps; w < tele.totalWarps; ++w) {
                 Bbv bbv(bb_table.numBlocks());
                 std::uint64_t insts = traceWarpBbv(
-                    program, bb_table, dims, mem, w, bbv, trace);
+                    program, bb_table, dims, mem, w, bbv, trace.get());
                 std::uint64_t fp = IntervalMemo::fingerprint(bbv);
                 Cycle dur;
                 if (!memo.lookup(fp, &dur)) {

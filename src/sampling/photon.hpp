@@ -24,10 +24,12 @@
 #define PHOTON_SAMPLING_PHOTON_HPP
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 
 #include "func/memory.hpp"
+#include "func/warp_trace.hpp"
 #include "sampling/analysis.hpp"
 #include "func/wave_state.hpp"
 #include "isa/program.hpp"
@@ -56,17 +58,24 @@ class PhotonSampler
   public:
     PhotonSampler(timing::Gpu &gpu, const SamplingConfig &cfg);
 
+    /** Supplies a captured functional trace for the launch being run,
+     *  or null when none is cached (DESIGN.md §15). */
+    using TraceResolver = std::function<func::LaunchTracePtr()>;
+
     /** Run (or skip) one kernel with the full Photon methodology.
-     *  @p trace optionally supplies a captured functional trace for
-     *  this exact launch (DESIGN.md §15): the online-analysis pass and
-     *  the block-level epilogue then replay warps from the capture
-     *  instead of emulating them (bit-identical BBVs, stores applied
-     *  from the trace's log). The detailed phase keeps emulating — its
-     *  stores must land exactly for the dispatched warps. */
+     *  @p resolve optionally looks up a captured functional trace for
+     *  this exact launch: the online-analysis pass and the block-level
+     *  epilogue then replay warps from the capture instead of emulating
+     *  them (bit-identical BBVs, stores applied from the trace's log).
+     *  The detailed phase keeps emulating — its stores must land
+     *  exactly for the dispatched warps. @p resolve is called at most
+     *  once, always on pre-launch memory: before a fresh analysis, else
+     *  before the detailed run. A launch answered by a reused analysis
+     *  and a kernel-cache hit never calls it. */
     KernelRunResult runKernel(const isa::Program &program,
                               const func::LaunchDims &dims,
                               func::GlobalMemory &mem,
-                              const func::LaunchTrace *trace = nullptr);
+                              const TraceResolver &resolve = {});
 
     /** The prior-kernel store (persists across launches). */
     KernelCache &cache() { return cache_; }

@@ -46,8 +46,8 @@ StabilityDetector::computeIfDirty() const
     if (!dirty_)
         return;
     dirty_ = false;
+    fitDirty_ = true;
     stable_ = false;
-    fit_ = LineFit{};
     meanRecent_ = 0.0;
     meanPrev_ = 0.0;
     drift_ = 0.0;
@@ -56,27 +56,14 @@ StabilityDetector::computeIfDirty() const
     if (total_ < cap)
         return; // need the full 2n history for the local-optimum guard
 
-    // Gather the last 2n points in chronological order.
-    std::vector<double> xs(cap), ys(cap);
-    for (std::size_t i = 0; i < cap; ++i) {
-        std::size_t pos = (total_ + i) % cap; // oldest first
-        xs[i] = issue_[pos];
-        ys[i] = retire_[pos];
-    }
-
-    // The paper fits retired time against issue time and tests
-    // |a - 1| < delta; it interprets a ~ 1 as "the execution time of
-    // basic blocks is not related to its issue time". The fit is kept
-    // for reporting (Figures 3/4); see below for why the stability
-    // decision itself uses window means at this event density.
-    std::vector<double> x_recent(xs.begin() + window_, xs.end());
-    std::vector<double> y_recent(ys.begin() + window_, ys.end());
-    fit_ = leastSquares(x_recent, y_recent);
-
+    // Sum both windows straight off the ring, oldest point first (the
+    // ring's oldest entry sits at total_ % cap once it has wrapped).
     double sum_recent = 0.0, sum_prev = 0.0;
     for (std::size_t i = 0; i < window_; ++i) {
-        sum_prev += ys[i] - xs[i];
-        sum_recent += y_recent[i] - x_recent[i];
+        std::size_t prev = (total_ + i) % cap;
+        std::size_t recent = (total_ + window_ + i) % cap;
+        sum_prev += retire_[prev] - issue_[prev];
+        sum_recent += retire_[recent] - issue_[recent];
     }
     meanRecent_ = sum_recent / window_;
     meanPrev_ = sum_prev / window_;
@@ -107,6 +94,26 @@ LineFit
 StabilityDetector::recentFit() const
 {
     computeIfDirty();
+    if (!fitDirty_)
+        return fit_;
+    fitDirty_ = false;
+    fit_ = LineFit{};
+    std::size_t cap = std::size_t{2} * window_;
+    if (total_ < cap)
+        return fit_;
+    // The paper fits retired time against issue time over the last n
+    // points and tests |a - 1| < delta; it interprets a ~ 1 as "the
+    // execution time of basic blocks is not related to its issue
+    // time". The fit is kept for reporting (Figures 3/4) only, so it
+    // is built on demand; computeIfDirty() explains why the stability
+    // decision uses window means at this event density.
+    std::vector<double> xs(window_), ys(window_);
+    for (std::size_t i = 0; i < window_; ++i) {
+        std::size_t pos = (total_ + window_ + i) % cap;
+        xs[i] = issue_[pos];
+        ys[i] = retire_[pos];
+    }
+    fit_ = leastSquares(xs, ys);
     return fit_;
 }
 
@@ -146,7 +153,7 @@ StabilityDetector::snapshot() const
     computeIfDirty();
     StabilitySnapshot s;
     s.points = total_;
-    LineFit fit = fit_;
+    LineFit fit = recentFit();
     s.slope = fit.a;
     s.slopeValid = fit.valid;
     s.drift = drift_;

@@ -43,8 +43,9 @@ struct StabilitySnapshot
 
 /**
  * Rolling (issue, retire) window with the paper's stability criterion.
- * Holds the last 2n points in a ring buffer; stability checks are O(n)
- * and cached until the next insertion.
+ * Holds the last 2n points in a ring buffer; stability checks are O(n),
+ * allocate nothing and are cached until the next insertion. The slope
+ * fit is computed only when recentFit()/snapshot() ask for it.
  */
 class StabilityDetector
 {
@@ -97,6 +98,7 @@ class StabilityDetector
     std::uint64_t total_ = 0;
 
     mutable bool dirty_ = true;
+    mutable bool fitDirty_ = true;
     mutable bool stable_ = false;
     mutable LineFit fit_;
     mutable double meanRecent_ = 0.0;

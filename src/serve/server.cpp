@@ -224,8 +224,6 @@ SimServer::executeJob(const service::JobSpec &spec)
     // without a single emulator invocation.
     if (opts_.traceReuse)
         platform.setTraceStore(&store_.traceStore());
-    else
-        platform.setTraceReuse(false);
 
     service::StoreGroup seed = store_.snapshot(spec.gpu);
     std::size_t seed_records = 0;

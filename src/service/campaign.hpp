@@ -129,7 +129,9 @@ struct JobResult
     /** Functional-trace reuse (DESIGN.md §15): launches replayed from
      *  the campaign's shared TraceStore vs. captured fresh by this
      *  job. hits + captures < kernels is normal — sampled modes only
-     *  consume, and non-traceable launches bypass the store. */
+     *  consume, Photon looks up only launches its kernel cache and a
+     *  reused analysis do not answer, and non-traceable launches
+     *  bypass the store. */
     std::uint64_t traceHits = 0;
     std::uint64_t traceMisses = 0;
     std::uint64_t traceCaptures = 0;

@@ -98,9 +98,7 @@ runOneJob(const JobSpec &spec, const CampaignOptions &options,
 
     auto t0 = std::chrono::steady_clock::now();
     driver::Platform platform(gpu, mode, options.sampling, backend);
-    platform.setTraceReuse(options.traceReuse);
-    if (traces)
-        platform.setTraceStore(traces);
+    platform.setTraceStore(traces);
     sampling::CacheCounters base;
     if (sampling::PhotonSampler *ph = platform.photon()) {
         out.result.seedRecords = seed.kernels.size();

@@ -160,12 +160,14 @@ class WorkStealDeques
 
     /** Move the back half (at least one) of @p victim onto @p self,
      *  relative order preserved, and pop the oldest stolen task into
-     *  @p out. Locks victim then self — lane locks never nest in the
-     *  other order (popFront holds only one), so no deadlock cycle. */
+     *  @p out. Two workers can steal from each other at once, each
+     *  holding one lane and wanting the other's, so both lanes are
+     *  taken together through std::scoped_lock's deadlock-avoiding
+     *  acquisition rather than in a fixed victim-then-self order. */
     bool
     stealInto(Lane &victim, Lane &self, T &out)
     {
-        std::lock_guard<std::mutex> vlock(victim.mu);
+        std::scoped_lock lock(victim.mu, self.mu);
         const std::size_t avail = victim.q.size();
         if (avail == 0)
             return false;
@@ -173,11 +175,8 @@ class WorkStealDeques
         const std::size_t from = avail - take;
 
         out = std::move(victim.q[from]);
-        {
-            std::lock_guard<std::mutex> slock(self.mu);
-            for (std::size_t i = from + 1; i < avail; ++i)
-                self.q.push_back(std::move(victim.q[i]));
-        }
+        for (std::size_t i = from + 1; i < avail; ++i)
+            self.q.push_back(std::move(victim.q[i]));
         victim.q.erase(victim.q.begin() +
                            static_cast<std::ptrdiff_t>(from),
                        victim.q.end());

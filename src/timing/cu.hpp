@@ -194,14 +194,17 @@ class ComputeUnit
     {
         const std::uint32_t per_simd = cfg_.wavesPerSimd;
         ++simdScans_;
-        // One compare-only pass builds the issue mask and the all-slots
-        // minimum together (no data-dependent branches to mispredict on
-        // irregular ready patterns).
+        // One compare-only pass builds the issue mask and the two
+        // smallest ready cycles together (no data-dependent branches
+        // to mispredict on irregular ready patterns).
         std::uint64_t mask = 0;
         Cycle mn = kNoCycle;
+        Cycle mn2 = kNoCycle;
         for (std::uint32_t k = 0; k < per_simd; ++k) {
             Cycle r = ready[k];
             mask |= std::uint64_t{r <= now} << k;
+            Cycle hi = mn < r ? r : mn;
+            mn2 = mn2 < hi ? mn2 : hi;
             mn = mn < r ? mn : r;
         }
         if (mask == 0) {
@@ -213,15 +216,10 @@ class ComputeUnit
             static_cast<std::uint32_t>(std::countr_zero(mask));
         std::uint64_t rest = mask & (mask - 1);
         if (rest == 0) {
-            // Sole ready slot: the bound must exclude it, so rescan
-            // with the winner masked out (the only case where the
-            // all-slots minimum is not a usable bound).
-            Cycle mx = kNoCycle;
-            for (std::uint32_t k = 0; k < per_simd; ++k) {
-                Cycle r = k == best ? kNoCycle : ready[k];
-                mx = mx < r ? mx : r;
-            }
-            min_excl = mx;
+            // Sole ready slot: the bound must exclude it (the only case
+            // where the all-slots minimum is not a usable bound). It is
+            // the unique minimum, so the rest's minimum is mn2.
+            min_excl = mn2;
             return best;
         }
         // Several ready slots: every loser keeps a ready cycle <= now,

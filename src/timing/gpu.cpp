@@ -58,9 +58,8 @@ Gpu::runKernel(const isa::Program &program, const func::LaunchDims &dims,
     ctx.replay = opts.replay;
     ctx.codeBase = (1ull << 40) + (kernelSeq_++ << 24);
 
-    // The frozen reference engine has no replay plumbing; callers
-    // selecting the seed loop must not request replay (the platform
-    // disables trace reuse for seed-loop runs).
+    // The frozen reference engine has no replay plumbing, so a seed-loop
+    // run ignores any replay trace and emulates.
     if (opts.useSeedLoop)
         ctx.replay = nullptr;
     if (opts.useSeedLoop) {

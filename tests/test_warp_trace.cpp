@@ -347,7 +347,7 @@ TEST(WarpTrace, StoreIsFirstWinsAndCounts)
     EXPECT_EQ(other.lookup("k").get(), first.get());
 }
 
-// ----- Platform: replay vs. emulation, serial and threaded -----
+// ----- Platform: replay vs. emulation -----
 
 namespace {
 
@@ -358,21 +358,41 @@ struct PlatformRun
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t captures = 0;
+    std::uint64_t memHash = 0; ///< post-run GlobalMemory::contentHash
+    std::vector<sampling::SampleLevel> levels;
+    /** Launches a reused analysis plus a kernel-cache hit answered. */
+    std::uint64_t cacheAnswered = 0;
 };
 
+/** Run @p workload on a fresh Platform with @p store attached (null
+ *  attaches none). @p seed_store first captures every launch of an
+ *  identically set-up platform into @p store, so the run can hit. */
 PlatformRun
-runFullDetailed(const char *workload, std::uint32_t size,
-                TraceStore *shared, bool trace_reuse)
+runPlatform(const char *gpu_name, const char *mode_name,
+            const char *workload, std::uint32_t size, TraceStore *store,
+            bool seed_store = false)
 {
     GpuConfig gpu;
     driver::SimMode mode;
     std::string err;
-    EXPECT_TRUE(service::parseGpuName("tiny", gpu, &err)) << err;
-    EXPECT_TRUE(service::parseMode("full", mode, &err)) << err;
+    EXPECT_TRUE(service::parseGpuName(gpu_name, gpu, &err)) << err;
+    EXPECT_TRUE(service::parseMode(mode_name, mode, &err)) << err;
+    if (seed_store) {
+        driver::Platform capturer(gpu, driver::SimMode::FullDetailed);
+        workloads::WorkloadPtr w =
+            service::makeWorkload(workload, size, &err);
+        EXPECT_NE(w, nullptr) << err;
+        w->setup(capturer);
+        for (const workloads::LaunchSpec &l : w->launches()) {
+            LaunchDims dims{l.numWorkgroups, l.wavesPerWorkgroup,
+                            l.kernarg};
+            std::string key = traceKey(*l.program, dims, capturer.mem());
+            store->insert(key, captureLaunchTrace(*l.program, dims,
+                                                  capturer.mem()));
+        }
+    }
     driver::Platform p(gpu, mode, SamplingConfig{});
-    p.setTraceReuse(trace_reuse);
-    if (shared)
-        p.setTraceStore(shared);
+    p.setTraceStore(store);
     workloads::WorkloadPtr w = service::makeWorkload(workload, size, &err);
     EXPECT_NE(w, nullptr) << err;
     w->setup(p);
@@ -383,7 +403,21 @@ runFullDetailed(const char *workload, std::uint32_t size,
     r.hits = p.traceHits();
     r.misses = p.traceMisses();
     r.captures = p.traceCaptures();
+    r.memHash = p.mem().contentHash();
+    for (const driver::LaunchResult &l : p.launchLog()) {
+        r.levels.push_back(l.sample.level);
+        if (l.sample.telemetry.analysisReused &&
+            l.sample.level == sampling::SampleLevel::Kernel)
+            ++r.cacheAnswered;
+    }
     return r;
+}
+
+PlatformRun
+runFullDetailed(const char *workload, std::uint32_t size,
+                TraceStore *shared)
+{
+    return runPlatform("tiny", "full", workload, size, shared);
 }
 
 } // namespace
@@ -409,13 +443,14 @@ TEST(WarpTraceReplay, BitIdenticalToEmulationAcrossWorkloads)
              {"aes", 64, true},
              {"spmv", 128, true},
              {"pagerank", 64, true}}) {
-        PlatformRun emulated =
-            runFullDetailed(c.workload, c.size, nullptr, false);
+        // No store attached: the trace layer does no work at all.
+        PlatformRun emulated = runFullDetailed(c.workload, c.size, nullptr);
+        EXPECT_EQ(emulated.hits, 0u) << c.workload;
+        EXPECT_EQ(emulated.misses, 0u) << c.workload;
         EXPECT_EQ(emulated.captures, 0u) << c.workload;
 
         TraceStore shared;
-        PlatformRun captured =
-            runFullDetailed(c.workload, c.size, &shared, true);
+        PlatformRun captured = runFullDetailed(c.workload, c.size, &shared);
         if (c.traceable)
             EXPECT_GT(captured.captures, 0u) << c.workload;
         else
@@ -423,8 +458,7 @@ TEST(WarpTraceReplay, BitIdenticalToEmulationAcrossWorkloads)
         EXPECT_EQ(captured.cycles, emulated.cycles) << c.workload;
         EXPECT_EQ(captured.insts, emulated.insts) << c.workload;
 
-        PlatformRun replayed =
-            runFullDetailed(c.workload, c.size, &shared, true);
+        PlatformRun replayed = runFullDetailed(c.workload, c.size, &shared);
         if (c.traceable) {
             EXPECT_GT(replayed.hits, 0u) << c.workload;
             EXPECT_EQ(replayed.misses, 0u) << c.workload;
@@ -434,6 +468,47 @@ TEST(WarpTraceReplay, BitIdenticalToEmulationAcrossWorkloads)
         EXPECT_EQ(replayed.captures, 0u) << c.workload;
         EXPECT_EQ(replayed.cycles, emulated.cycles) << c.workload;
         EXPECT_EQ(replayed.insts, emulated.insts) << c.workload;
+    }
+
+    // Photon resolves its trace lazily: pagerank repeats two kernels,
+    // and every launch a reused analysis plus a kernel-cache hit
+    // answers does no lookup (so never hashes memory).
+    {
+        PlatformRun bare =
+            runPlatform("tiny", "photon", "pagerank", 64, nullptr);
+        EXPECT_EQ(bare.hits + bare.misses, 0u);
+        TraceStore store;
+        PlatformRun looked =
+            runPlatform("tiny", "photon", "pagerank", 64, &store);
+        EXPECT_GT(looked.cacheAnswered, 0u);
+        EXPECT_EQ(looked.hits + looked.misses,
+                  looked.levels.size() - looked.cacheAnswered);
+        EXPECT_EQ(store.counters().hits + store.counters().misses,
+                  looked.hits + looked.misses);
+        EXPECT_EQ(looked.captures, 0u);
+        EXPECT_EQ(looked.cycles, bare.cycles);
+        EXPECT_EQ(looked.insts, bare.insts);
+        EXPECT_EQ(looked.levels, bare.levels);
+    }
+
+    // Photon's block-level epilogue replaying a stored trace (fir on
+    // r9nano switches at the bb level) matches emulating every warp:
+    // cycles, instructions and the final memory image.
+    {
+        PlatformRun bare =
+            runPlatform("r9nano", "photon", "fir", 32768, nullptr);
+        TraceStore store;
+        PlatformRun replayed = runPlatform("r9nano", "photon", "fir",
+                                           32768, &store, true);
+        ASSERT_EQ(bare.levels,
+                  std::vector<sampling::SampleLevel>{
+                      sampling::SampleLevel::BasicBlock});
+        EXPECT_EQ(replayed.hits, 1u);
+        EXPECT_EQ(replayed.misses, 0u);
+        EXPECT_EQ(replayed.levels, bare.levels);
+        EXPECT_EQ(replayed.cycles, bare.cycles);
+        EXPECT_EQ(replayed.insts, bare.insts);
+        EXPECT_EQ(replayed.memHash, bare.memHash);
     }
 }
 

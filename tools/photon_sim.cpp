@@ -124,10 +124,12 @@ usage()
         "  --cache-in PATH  seed the kernel-signature store from a file\n"
         "  --cache-out PATH write the final store for later runs\n"
         "  --report PATH    write the per-job JSON report\n"
-        "functional-trace reuse (on by default; works in both modes):\n"
+        "functional-trace reuse (campaigns, serve and --trace-cache;\n"
+        "a one-shot run without --trace-cache captures nothing):\n"
         "  --trace-cache PATH  persist captured launch traces to PATH\n"
         "                      and replay from it on later runs\n"
-        "  --no-trace-reuse    capture/replay nothing (every launch\n"
+        "  --no-trace-reuse    capture/replay nothing in a campaign,\n"
+        "                      serve or --trace-cache run (every launch\n"
         "                      re-executes register semantics)\n");
 }
 
@@ -185,10 +187,12 @@ runOnce(const Options &o, std::uint32_t size, driver::SimMode mode,
     timing::BackendKind backend;
     if (!service::parseBackendName(o.backend, backend, &err))
         fatal(err);
+    // A one-shot run never replays what it captures, so traces are
+    // only kept when a --trace-cache file carries them between runs.
+    const bool trace_cache = !o.noTraceReuse && !o.traceCache.empty();
+    func::TraceStore traces; // outlives p, which points at it
     driver::Platform p(gpu, mode, samplingFromOptions(o), backend);
-    if (o.noTraceReuse)
-        p.setTraceReuse(false);
-    else if (!o.traceCache.empty()) {
+    if (trace_cache) {
         std::ifstream probe(o.traceCache, std::ios::binary);
         if (probe) { // a missing file is a cold start
             service::Artifact tc;
@@ -196,8 +200,9 @@ runOnce(const Options &o, std::uint32_t size, driver::SimMode mode,
                 service::loadArtifact(o.traceCache, tc);
             if (!st.ok)
                 fatal("--trace-cache: ", st.error);
-            p.traceStore().import(tc.traces);
+            traces.import(tc.traces);
         }
+        p.setTraceStore(&traces);
     }
     auto w = service::makeWorkload(o.workload, size, &err);
     if (!w)
@@ -225,11 +230,11 @@ runOnce(const Options &o, std::uint32_t size, driver::SimMode mode,
     }
     if (!telemetry_path.empty())
         writeTelemetry(p.telemetry(), telemetry_path);
-    if (!o.noTraceReuse && !o.traceCache.empty()) {
+    if (trace_cache) {
         // The artifact carries only the trace section here; first-wins
         // merge on load keeps repeated runs idempotent.
         service::Artifact tc;
-        tc.traces = p.traceStore().exportAll();
+        tc.traces = traces.exportAll();
         service::LoadStatus st = service::saveArtifact(tc, o.traceCache);
         if (!st.ok)
             fatal("--trace-cache: ", st.error);
