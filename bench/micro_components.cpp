@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "func/emulator.hpp"
 #include "isa/basic_block.hpp"
 #include "isa/builder.hpp"
@@ -72,6 +74,33 @@ BM_CacheProbe(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheProbe);
+
+/** One L2 bank of the presets (256 KB, 16-way, 256 sets) under a
+ *  miss-heavy random stream over 16x its capacity — the shape
+ *  memory-irregular kernels (spmv, pagerank) drive, where a miss walks
+ *  every way. The stream is drawn up front so the loop times the probe,
+ *  not the generator. */
+void
+BM_CacheProbeL2(benchmark::State &state)
+{
+    CacheConfig cfg{256 * 1024, 16, 64, 110};
+    timing::SetAssocCache cache(cfg);
+    const std::uint64_t capacity = cfg.sizeBytes / cfg.lineBytes;
+    Rng rng(4);
+    std::vector<std::uint64_t> lines(1 << 16);
+    for (std::uint64_t &l : lines)
+        l = rng.nextBelow(16 * capacity);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.probe(lines[i]));
+        i = (i + 1) & (lines.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["miss_rate"] =
+        static_cast<double>(cache.misses()) /
+        static_cast<double>(cache.hits() + cache.misses());
+}
+BENCHMARK(BM_CacheProbeL2);
 
 void
 BM_DramAccess(benchmark::State &state)

@@ -35,12 +35,18 @@ asU(float v)
     return std::bit_cast<std::uint32_t>(v);
 }
 
+/** Lines a gather may span and still be coalesced by the two-level
+ *  bitmap: 64 leaf words of 64 bits. */
+constexpr Addr kBitmapSpan = Addr{64} * 64;
+
 /** Coalesce the per-lane line addresses gathered in @p out.lines[0..n)
- *  into the distinct set. @p lo / @p hi are the minimum and maximum of
+ *  into the distinct set, in ascending order (the order the timing
+ *  model probes them). @p lo / @p hi are the minimum and maximum of
  *  those lines, computed by the caller inside its gather loop (fusing
- *  the scan the general case would otherwise repeat). Fast paths cover
- *  the common uniform and small-stride patterns; the rare wide case
- *  sorts. */
+ *  the scan the general case would otherwise repeat). A uniform row is
+ *  one line; rows within kBitmapSpan lines (small strides and gathers
+ *  over up to 256 KB) dedup and order through a two-level bitmap with
+ *  no comparison sort; only wider gathers sort. */
 void
 coalesceLines(StepResult &out, std::uint32_t n, Addr lo, Addr hi)
 {
@@ -53,15 +59,25 @@ coalesceLines(StepResult &out, std::uint32_t n, Addr lo, Addr hi)
         out.numLines = 1;
         return;
     }
-    if (hi - lo < kWavefrontLanes) {
-        // All lines within a 64-line span: dedup via a bitmap.
-        std::uint64_t map = 0;
-        for (std::uint32_t i = 0; i < n; ++i)
-            map |= std::uint64_t{1} << (out.lines[i] - lo);
+    if (hi - lo < kBitmapSpan) {
+        // Bit (off & 63) of leaf word (off >> 6) marks line lo + off;
+        // bit w of `used` marks leaf word w as non-empty. Walking the
+        // set bits low to high yields the distinct lines in order.
+        std::uint64_t leaf[kBitmapSpan / 64] = {};
+        std::uint64_t used = 0;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const Addr off = out.lines[i] - lo;
+            leaf[off >> 6] |= std::uint64_t{1} << (off & 63);
+            used |= std::uint64_t{1} << (off >> 6);
+        }
         std::uint32_t count = 0;
-        for (std::uint32_t bit = 0; map; ++bit, map >>= 1) {
-            if (map & 1)
-                out.lines[count++] = lo + bit;
+        while (used) {
+            const std::uint32_t w =
+                static_cast<std::uint32_t>(std::countr_zero(used));
+            used &= used - 1;
+            const Addr word_base = lo + Addr{w} * 64;
+            for (std::uint64_t m = leaf[w]; m; m &= m - 1)
+                out.lines[count++] = word_base + std::countr_zero(m);
         }
         out.numLines = count;
         return;

@@ -89,7 +89,6 @@ ComputeUnit::startKernel(const KernelContext &ctx)
     residentWgs_ = 0;
     instsIssued_ = 0;
     wavesRetired_ = 0;
-    pendingMisses_.clear();
 }
 
 bool
@@ -259,16 +258,16 @@ ComputeUnit::issue(std::uint32_t slot, std::uint32_t ri, std::uint32_t simd,
     // instruction fetch, then the L1K / L2 walks.
     const bool vmem = step.unit == isa::FuncUnit::VMEM;
     Cycle finish = now;
+    std::uint32_t num_misses = 0;
     if (vmem) {
-        pendingMisses_.clear();
         for (std::uint32_t i = 0; i < step.numLines; ++i) {
             MemorySystem::VmemProbe p =
                 memsys_.vectorProbe(cuId_, step.lines[i], now);
             if (p.hit)
                 finish = std::max(finish, p.ready);
             else
-                pendingMisses_.push_back(
-                    {step.lines[i], p.missBase, p.mshrIdx});
+                pendingMisses_[num_misses++] = {step.lines[i], p.missBase,
+                                                p.mshrIdx};
         }
     }
 
@@ -285,8 +284,9 @@ ComputeUnit::issue(std::uint32_t slot, std::uint32_t ri, std::uint32_t simd,
     Cycle complete;
     Cycle ready;
     if (vmem) {
-        for (const MemorySystem::VmemMiss &m : pendingMisses_)
-            finish = std::max(finish, memsys_.vectorCommitMiss(cuId_, m));
+        for (std::uint32_t i = 0; i < num_misses; ++i)
+            finish = std::max(
+                finish, memsys_.vectorCommitMiss(cuId_, pendingMisses_[i]));
         complete = finish;
         // Loads block the wavefront until data returns; stores retire
         // from the wavefront's perspective once issued.

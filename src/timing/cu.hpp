@@ -320,8 +320,11 @@ class ComputeUnit
     std::uint64_t emptyScans_ = 0;
 
     /** L1V misses of the issuing instruction awaiting their L2/DRAM
-     *  walk (reused scratch, never holds entries across issues). */
-    std::vector<MemorySystem::VmemMiss> pendingMisses_; // photon-lint: aos-ok
+     *  walk: scratch sized for the worst case (one instruction touches
+     *  at most one line per lane), never holding entries across
+     *  issues. */
+    std::array<MemorySystem::VmemMiss, kWavefrontLanes> // photon-lint: aos-ok
+        pendingMisses_;
     func::StepResult step_; ///< reused functional-step result
 };
 

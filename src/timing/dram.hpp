@@ -16,7 +16,8 @@
 
 namespace photon::timing {
 
-/** Banked DRAM. Banks are interleaved at line granularity. */
+/** Banked DRAM. Banks are interleaved at line granularity; the bank
+ *  count must be a power of two so the bank is a mask of the line. */
 class Dram
 {
   public:
@@ -35,6 +36,7 @@ class Dram
 
   private:
     DramConfig cfg_;
+    std::uint32_t bankMask_;
     std::vector<Cycle> bankFree_;
     std::uint64_t accesses_ = 0;
     std::uint64_t queueingCycles_ = 0;

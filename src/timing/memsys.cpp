@@ -1,12 +1,20 @@
 #include "timing/memsys.hpp"
 
 #include <algorithm>
+#include <bit>
+
+#include "sim/log.hpp"
 
 namespace photon::timing {
 
 MemorySystem::MemorySystem(const GpuConfig &cfg)
-    : cfg_(cfg), dram_(cfg.dram)
+    : cfg_(cfg), l2BankMask_(cfg.l2Banks - 1),
+      mshrMask_(cfg.mshrsPerCu - 1), dram_(cfg.dram)
 {
+    PHOTON_ASSERT(std::has_single_bit(cfg.l2Banks),
+                  "L2 bank count must be a power of two");
+    PHOTON_ASSERT(std::has_single_bit(cfg.mshrsPerCu),
+                  "MSHRs per CU must be a power of two");
     std::uint32_t groups = (cfg.numCus + kCusPerL1Group - 1) /
                            kCusPerL1Group;
     l1v_.reserve(cfg.numCus);
@@ -21,15 +29,14 @@ MemorySystem::MemorySystem(const GpuConfig &cfg)
     l2_.reserve(cfg.l2Banks);
     for (std::uint32_t i = 0; i < cfg.l2Banks; ++i)
         l2_.emplace_back(cfg.l2);
-    mshrFree_.assign(cfg.numCus,
-                     std::vector<Cycle>(cfg.mshrsPerCu, 0));
+    mshrFree_.assign(std::size_t{cfg.numCus} * cfg.mshrsPerCu, 0);
     mshrPtr_.assign(cfg.numCus, 0);
 }
 
 Cycle
 MemorySystem::l2Access(std::uint64_t lineAddr, Cycle now)
 {
-    SetAssocCache &bank = l2_[lineAddr % cfg_.l2Banks];
+    SetAssocCache &bank = l2_[lineAddr & l2BankMask_];
     Cycle start = bank.reservePort(now);
     if (bank.probe(lineAddr))
         return start + bank.hitLatency();
@@ -50,30 +57,11 @@ MemorySystem::vectorAccess(std::uint32_t cuId, std::uint64_t lineAddr,
     return vectorCommitMiss(cuId, {lineAddr, p.missBase, p.mshrIdx});
 }
 
-MemorySystem::VmemProbe
-MemorySystem::vectorProbe(std::uint32_t cuId, std::uint64_t lineAddr,
-                          Cycle now)
-{
-    SetAssocCache &l1 = l1v_[cuId];
-    Cycle start = l1.reservePort(now);
-    VmemProbe p;
-    if (l1.probe(lineAddr)) {
-        p.hit = true;
-        p.ready = start + l1.hitLatency();
-        return p;
-    }
-    // Miss: allocate an MSHR (ring order — fills return roughly in
-    // request order). A full MSHR file delays the miss, which is the
-    // backpressure that bounds the DRAM backlog.
-    p.missBase = start + l1.hitLatency();
-    p.mshrIdx = mshrPtr_[cuId]++ % cfg_.mshrsPerCu;
-    return p;
-}
-
 Cycle
 MemorySystem::vectorCommitMiss(std::uint32_t cuId, const VmemMiss &miss)
 {
-    Cycle &mshr = mshrFree_[cuId][miss.mshrIdx];
+    Cycle &mshr =
+        mshrFree_[std::size_t{cuId} * cfg_.mshrsPerCu + miss.mshrIdx];
     Cycle miss_start = std::max(miss.missBase, mshr);
     Cycle fill = l2Access(miss.line, miss_start);
     mshr = fill;

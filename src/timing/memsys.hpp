@@ -25,7 +25,8 @@ inline constexpr std::uint32_t kCusPerL1Group = 4;
 
 /**
  * Owns every cache and the DRAM model; CUs call into it with line
- * addresses and receive data-ready cycles.
+ * addresses and receive data-ready cycles. The L2 bank, DRAM bank and
+ * per-CU MSHR counts must be powers of two.
  */
 class MemorySystem
 {
@@ -62,8 +63,24 @@ class MemorySystem
      * issue probe all of its lines before its instruction fetch and
      * walk the misses after it.
      */
-    VmemProbe vectorProbe(std::uint32_t cuId, std::uint64_t lineAddr,
-                          Cycle now);
+    VmemProbe
+    vectorProbe(std::uint32_t cuId, std::uint64_t lineAddr, Cycle now)
+    {
+        SetAssocCache &l1 = l1v_[cuId];
+        Cycle start = l1.reservePort(now);
+        VmemProbe p;
+        if (l1.probe(lineAddr)) {
+            p.hit = true;
+            p.ready = start + l1.hitLatency();
+            return p;
+        }
+        // Miss: allocate an MSHR (ring order — fills return roughly in
+        // request order). A full MSHR file delays the miss, which is the
+        // backpressure that bounds the DRAM backlog.
+        p.missBase = start + l1.hitLatency();
+        p.mshrIdx = mshrPtr_[cuId]++ & mshrMask_;
+        return p;
+    }
 
     /** Shared half of a missing vector access; returns the fill cycle.
      *  Reads the MSHR next-free time here (not at probe time) so a
@@ -99,8 +116,13 @@ class MemorySystem
     Cycle l2Access(std::uint64_t lineAddr, Cycle now);
 
     GpuConfig cfg_;
-    /** Per-CU MSHR next-free times (ring-allocated). */
-    std::vector<std::vector<Cycle>> mshrFree_;
+    /** Bank and MSHR counts are powers of two (asserted at
+     *  construction), so every per-access selection is a mask. */
+    std::uint32_t l2BankMask_;
+    std::uint32_t mshrMask_;
+    /** MSHR next-free times, numCus x mshrsPerCu, CU-major; each CU's
+     *  row is ring-allocated through mshrPtr_. */
+    std::vector<Cycle> mshrFree_;
     std::vector<std::uint32_t> mshrPtr_;
     std::vector<SetAssocCache> l1v_; ///< one per CU
     PHOTON_SHARED_STATE

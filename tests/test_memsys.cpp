@@ -109,3 +109,27 @@ TEST(Memsys, StatsExportCoversHierarchy)
     EXPECT_EQ(stats.get("mem.l1v.misses"), 1.0);
     EXPECT_GE(stats.get("mem.dram.accesses"), 1.0);
 }
+
+/** Bank and MSHR selection is a mask of the line id / ring pointer, so
+ *  a count that is not a power of two must be rejected at construction
+ *  like a non-power-of-two cache set count, not silently mis-mapped. */
+TEST(MemsysDeath, RejectsNonPowerOfTwoCounts)
+{
+    GpuConfig l2 = tiny();
+    l2.l2Banks = 3;
+    EXPECT_DEATH(MemorySystem m(l2), "L2 bank count must be a power of two");
+
+    GpuConfig dram = tiny();
+    dram.dram.numBanks = 6;
+    EXPECT_DEATH(MemorySystem m(dram),
+                 "DRAM bank count must be a power of two");
+
+    GpuConfig mshr = tiny();
+    mshr.mshrsPerCu = 48;
+    EXPECT_DEATH(MemorySystem m(mshr), "MSHRs per CU must be a power of two");
+
+    GpuConfig sets = tiny();
+    sets.l2.sizeBytes = 3 * sets.l2.ways * sets.l2.lineBytes;
+    EXPECT_DEATH(MemorySystem m(sets),
+                 "cache set count must be a power of two");
+}

@@ -9,6 +9,7 @@
 
 #include "func/emulator.hpp"
 #include "isa/builder.hpp"
+#include "sim/rng.hpp"
 
 using namespace photon;
 using namespace photon::isa;
@@ -197,6 +198,56 @@ TEST(Coalescing, PropertyAcrossStridesAndOffsets)
                                  1024u, 4096u}) {
         for (std::uint32_t offset : {0u, 4u, 60u})
             coalesceProperty(stride, offset);
+    }
+}
+
+/** A gather's lines come out distinct and strictly ascending — the
+ *  order the timing model probes them in — for lanes in random order
+ *  with repeats, on both sides of every coalescing path's span limit
+ *  (one line, the bitmap's 4096-line span, and the sorted wide case). */
+TEST(Coalescing, GatherLinesAreDistinctAndAscending)
+{
+    for (std::uint32_t span : {1u, 2u, 63u, 64u, 65u, 1000u, 4095u, 4096u,
+                               4097u, 50000u}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            func::GlobalMemory mem(16 << 20);
+            Addr idx = mem.allocate(64 * 4);
+            Addr data = mem.allocate(8 << 20);
+            Rng rng(seed * 977 + span);
+            std::array<std::uint32_t, 64> addr{};
+            for (unsigned lane = 0; lane < 64; ++lane) {
+                std::uint64_t line = lane == 0   ? 0
+                                     : lane == 1 ? span - 1
+                                                 : rng.nextBelow(span);
+                addr[lane] = static_cast<std::uint32_t>(
+                    data + line * 64 + rng.nextBelow(16) * 4);
+                if (lane > 1 && rng.nextBelow(4) == 0)
+                    addr[lane] = addr[rng.nextBelow(lane)];
+                mem.write32(idx + lane * 4, addr[lane]);
+            }
+
+            KernelBuilder b("gather");
+            b.vMad(1, vreg(0), imm(4), imm(static_cast<std::int64_t>(idx)));
+            b.flatLoad(2, 1); // per-lane addresses
+            b.flatLoad(3, 2); // the gather under test
+            b.endProgram();
+            ProgramPtr prog = b.finish();
+            func::Emulator emu;
+            func::WaveState ws;
+            ws.init(*prog, func::LaunchDims{1, 1, 0}, 0);
+            func::StepResult res;
+            std::vector<std::uint8_t> lds;
+            for (int i = 0; i < 3; ++i)
+                emu.step(*prog, ws, mem, lds, res);
+
+            std::set<Addr> expect;
+            for (std::uint32_t a : addr)
+                expect.insert(a / 64);
+            std::vector<Addr> got(res.lines.begin(),
+                                  res.lines.begin() + res.numLines);
+            EXPECT_EQ(got, std::vector<Addr>(expect.begin(), expect.end()))
+                << "span " << span << " seed " << seed;
+        }
     }
 }
 
