@@ -4,8 +4,9 @@
  * SimServer with a request mix that repeats a small set of distinct
  * specs, the way a real simulation service sees the same kernels from
  * many users. Reports the shared-cache economics (hit rate, dedup
- * collapses, jobs actually executed) and client-visible request
- * latency (p50/p99 nearest-rank) for a cold and a warm pass.
+ * collapses, answers served from the answer cache, jobs actually
+ * executed) and client-visible request latency (p50/p99 nearest-rank)
+ * for a cold and a warm pass.
  *
  * The assignment of specs to requests is deterministic (client index
  * and request index only), so two runs issue the identical load.
@@ -44,10 +45,13 @@ struct PassResult
     std::size_t requests = 0;
     std::uint64_t jobsExecuted = 0;
     std::uint64_t dedupCollapsed = 0;
+    std::uint64_t answersCached = 0; ///< answered without running a job
     std::uint64_t cacheHits = 0;   ///< kernel-cache lookup hits
     std::uint64_t cacheMisses = 0;
     std::uint64_t requestCacheHits = 0; ///< requests fully cache-served
-    double hitRate = 0.0;          ///< kernel-cache lookup hit rate
+    /** Kernel-cache lookup hit rate; 0 when the pass ran no lookup
+     *  (every request answered from the answer cache). */
+    double hitRate = 0.0;
     double wallSeconds = 0.0;
     double p50Ms = 0.0;
     double p99Ms = 0.0;
@@ -160,6 +164,7 @@ runPass(SimServer &server, const char *pass, std::size_t clients,
     out.requests = clients * per_client;
     out.jobsExecuted = after.jobsExecuted - before.jobsExecuted;
     out.dedupCollapsed = after.dedupCollapsed - before.dedupCollapsed;
+    out.answersCached = after.answersCached - before.answersCached;
     out.cacheHits = after.cacheHits - before.cacheHits;
     out.cacheMisses = after.cacheMisses - before.cacheMisses;
     std::uint64_t lookups = out.cacheHits + out.cacheMisses;
@@ -204,7 +209,8 @@ writeJson(const std::vector<PassResult> &rows, const WarmSpread &spread,
         f << "    {\"pass\": \"" << r.pass << "\", \"clients\": "
           << r.clients << ", \"requests\": " << r.requests
           << ", \"jobs_executed\": " << r.jobsExecuted
-          << ", \"dedup_collapsed\": " << r.dedupCollapsed << ",\n"
+          << ", \"dedup_collapsed\": " << r.dedupCollapsed
+          << ", \"answers_cached\": " << r.answersCached << ",\n"
           << "     \"cache_hits\": " << r.cacheHits
           << ", \"cache_misses\": " << r.cacheMisses
           << ", \"cache_hit_rate\": " << r.hitRate
@@ -240,8 +246,9 @@ main(int argc, char **argv)
     // Cold pass: first touch of every distinct spec executes detailed;
     // overlapping identical requests collapse; the rest hit the cache.
     // Warm passes: the store already knows every kernel, so the whole
-    // schedule should be answered from the shared cache. Repeated so
-    // the report carries a min/median/max instead of a single sample.
+    // schedule should be answered from the shared cache (a repeat whose
+    // answer is still current runs no job at all). Repeated so the
+    // report carries a min/median/max instead of a single sample.
     const std::size_t warm_reps = quick ? 2 : 3;
     std::vector<PassResult> rows;
     rows.push_back(runPass(server, "cold", clients, per_client));
@@ -255,11 +262,13 @@ main(int argc, char **argv)
     const WarmSpread spread = warmSpread(warm_rps);
 
     driver::Table table({"pass", "requests", "executed", "collapsed",
-                         "hit_rate", "p50_ms", "p99_ms", "req/s"});
+                         "answer_cached", "hit_rate", "p50_ms", "p99_ms",
+                         "req/s"});
     for (const PassResult &r : rows) {
         table.addRow({r.pass, std::to_string(r.requests),
                       std::to_string(r.jobsExecuted),
                       std::to_string(r.dedupCollapsed),
+                      std::to_string(r.answersCached),
                       driver::Table::num(r.hitRate, 3),
                       driver::Table::num(r.p50Ms, 2),
                       driver::Table::num(r.p99Ms, 2),

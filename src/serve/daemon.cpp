@@ -272,7 +272,8 @@ runDaemon(const DaemonOptions &options)
     if (options.verbose) {
         ServerStatus s = server.status();
         std::printf("photond: drained cleanly — %llu requests "
-                    "(%llu executed, %llu dedup-collapsed), "
+                    "(%llu executed, %llu dedup-collapsed, "
+                    "%llu answer-cached), "
                     "%llu cache hits / %llu misses, "
                     "%llu interval-memo hits, %zu records in "
                     "store, %llu checkpoints\n",
@@ -280,6 +281,8 @@ runDaemon(const DaemonOptions &options)
                     static_cast<unsigned long long>(s.store.jobsExecuted),
                     static_cast<unsigned long long>(
                         s.store.dedupCollapsed),
+                    static_cast<unsigned long long>(
+                        s.store.answersCached),
                     static_cast<unsigned long long>(s.store.cacheHits),
                     static_cast<unsigned long long>(s.store.cacheMisses),
                     static_cast<unsigned long long>(

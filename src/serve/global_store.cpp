@@ -28,12 +28,24 @@ GlobalStore::GlobalStore(Options options) : opts_(std::move(options))
     traceStore_.import(store_.traces);
 }
 
-service::StoreGroup
+GlobalStore::Seed
 GlobalStore::snapshot(const std::string &gpu) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = store_.groups.find(gpu);
-    return it == store_.groups.end() ? service::StoreGroup{} : it->second;
+    Seed out;
+    out.version = version_;
+    if (auto it = store_.groups.find(gpu); it != store_.groups.end()) {
+        out.group.kernels = it->second.kernels;
+        out.group.analyses = it->second.analyses;
+    }
+    return out;
+}
+
+std::uint64_t
+GlobalStore::version() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return version_;
 }
 
 void
@@ -53,6 +65,8 @@ GlobalStore::publish(
         fresh_analysis |= g.analyses.emplace(key, analysis).second;
     g.telemetry.insert(g.telemetry.end(), telemetry.begin(),
                        telemetry.end());
+    if (!kernels.empty() || fresh_analysis)
+        ++version_;
     if (!kernels.empty() || fresh_analysis || !telemetry.empty())
         dirty_ = true;
 }
@@ -142,6 +156,13 @@ GlobalStore::recordDedupCollapse()
 {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.dedupCollapsed;
+}
+
+void
+GlobalStore::recordAnswerCached()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.answersCached;
 }
 
 std::uint64_t

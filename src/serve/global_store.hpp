@@ -9,8 +9,11 @@
  * On top of the campaign runner's SharedSignatureStore semantics this
  * adds:
  *  - aggregate counters (kernel-cache hits/misses/inserts, analysis
- *    reuse, dedup collapses, jobs executed) surfaced through
- *    `photon_sim status` / `photon_sim cache`;
+ *    reuse, dedup collapses, cached answers, jobs executed) surfaced
+ *    through `photon_sim status` / `photon_sim cache`;
+ *  - a version that moves exactly when seedable state (a kernel record
+ *    or an analysis) is added, so the server can tell whether an
+ *    earlier answer was seeded from the state a new job would see;
  *  - the admission-fingerprint registry: spec -> learned GPU-BBV
  *    fingerprint (see serve/fingerprint.hpp);
  *  - periodic checkpointing through artifact store v3 plus reload on
@@ -44,6 +47,9 @@ struct StoreStats
     std::uint64_t analysesReused = 0; ///< offline-mode analysis reuses
     std::uint64_t jobsExecuted = 0;   ///< jobs that ran on a worker
     std::uint64_t dedupCollapsed = 0; ///< requests folded onto a leader
+    /** Requests answered from an earlier job's result, seeded from the
+     *  store version still current (nothing simulated for them). */
+    std::uint64_t answersCached = 0;
     std::uint64_t checkpoints = 0;    ///< checkpoint files written
     std::uint64_t intervalHits = 0;   ///< interval-memo prediction hits
     std::uint64_t intervalMisses = 0; ///< interval-memo misses (fits run)
@@ -74,12 +80,32 @@ class GlobalStore
     explicit GlobalStore(Options options);
     GlobalStore();
 
-    /** Copy of one GPU's group (empty when absent). */
+    /** What a job seeds from, taken under one lock. */
+    struct Seed
+    {
+        /** One GPU's kernel records and analyses (empty when absent).
+         *  Telemetry is left out: seeding never reads it, and the log
+         *  grows with every executed job. */
+        service::StoreGroup group;
+        std::uint64_t version = 0; ///< version() the group belongs to
+    };
+
+    /** Copy of one GPU's seedable state plus its version. */
     PHOTON_PHASE_EXEMPT
-    service::StoreGroup snapshot(const std::string &gpu) const;
+    Seed snapshot(const std::string &gpu) const;
+
+    /**
+     * Moves exactly when publish() adds seedable state: a kernel
+     * record or an analysis not held before. Telemetry, interval memos
+     * (a pure acceleration) and traces (replay is bit-identical) cannot
+     * change what a job computes, so they leave it alone. A job seeded
+     * at version v therefore answers the same as any later job seeded
+     * while the version still reads v.
+     */
+    PHOTON_PHASE_EXEMPT std::uint64_t version() const;
 
     /** Append fresh kernel records / analyses / telemetry from one
-     *  finished job and fold its counter deltas into the stats. */
+     *  finished job, bumping version() when seedable state grew. */
     PHOTON_PHASE_EXEMPT
     void publish(const std::string &gpu,
                  const std::vector<sampling::KernelRecord> &kernels,
@@ -133,6 +159,10 @@ class GlobalStore
     /** Count one admission-dedup collapse. */
     PHOTON_PHASE_EXEMPT
     void recordDedupCollapse();
+
+    /** Count one request answered from a cached result. */
+    PHOTON_PHASE_EXEMPT
+    void recordAnswerCached();
 
     /**
      * Admission key for @p spec: the learned GPU-BBV fingerprint when
@@ -200,6 +230,8 @@ class GlobalStore
     PHOTON_GUARDED_BY(mu_)
     std::map<std::string, sampling::PhotonSampler::IntervalMemoStore>
         intervalMemos_;
+    PHOTON_GUARDED_BY(mu_)
+    std::uint64_t version_ = 0;
     PHOTON_GUARDED_BY(mu_)
     std::uint32_t sinceCheckpoint_ = 0;
     PHOTON_GUARDED_BY(mu_)

@@ -258,6 +258,7 @@ appendStatus(std::ostringstream &os, const ServerStatus &s)
        << ", \"analyses_reused\": " << s.store.analysesReused
        << ", \"jobs_executed\": " << s.store.jobsExecuted
        << ", \"dedup_collapsed\": " << s.store.dedupCollapsed
+       << ", \"answers_cached\": " << s.store.answersCached
        << ", \"checkpoints\": " << s.store.checkpoints
        << ", \"interval_hits\": " << s.store.intervalHits
        << ", \"interval_misses\": " << s.store.intervalMisses
@@ -285,6 +286,7 @@ readStatus(const FlatJson &json, ServerStatus &s)
     s.store.analysesReused = json.getU64("analyses_reused");
     s.store.jobsExecuted = json.getU64("jobs_executed");
     s.store.dedupCollapsed = json.getU64("dedup_collapsed");
+    s.store.answersCached = json.getU64("answers_cached");
     s.store.checkpoints = json.getU64("checkpoints");
     s.store.intervalHits = json.getU64("interval_hits");
     s.store.intervalMisses = json.getU64("interval_misses");
@@ -344,6 +346,8 @@ encodeResponse(const Response &response)
            << ", \"cache_hit\": " << (r.cacheHit ? "true" : "false")
            << ", \"dedup_collapsed\": "
            << (r.dedupCollapsed ? "true" : "false")
+           << ", \"answer_cached\": "
+           << (r.answerCached ? "true" : "false")
            << ", \"analysis_reused\": "
            << (r.analysisReused ? "true" : "false")
            << ", \"wall_seconds\": " << r.wallSeconds
@@ -416,6 +420,7 @@ decodeResponse(const std::string &line, Response &out, std::string *error)
             static_cast<std::uint32_t>(json.getU64("kernel_hits"));
         r.result.cacheHit = json.getBool("cache_hit");
         r.result.dedupCollapsed = json.getBool("dedup_collapsed");
+        r.result.answerCached = json.getBool("answer_cached");
         r.result.analysisReused = json.getBool("analysis_reused");
         r.result.wallSeconds = json.getDouble("wall_seconds");
         r.result.fingerprint = json.getU64("fingerprint");

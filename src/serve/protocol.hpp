@@ -20,7 +20,10 @@
  *
  * Responses always carry {"v", "id", "ok"} (plus "error" when !ok);
  * submit responses add the job result (cycles, insts, cache_hit,
- * dedup_collapsed, ...), status/cache responses add the server counters.
+ * dedup_collapsed, answer_cached, ...), status/cache responses add the
+ * server counters. answer_cached and answers_cached are optional (still
+ * protocol v1): an older daemon's lines lack them and decode as
+ * false / 0.
  * Unknown keys are ignored on decode, so additions are backward
  * compatible within a version; a major layout change bumps
  * kProtocolVersion and old peers are rejected with a diagnostic.

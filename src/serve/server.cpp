@@ -31,6 +31,7 @@ SimServer::finishedTicketLocked(ServeResult result)
     Ticket t = nextTicket_++;
     auto pending = std::make_shared<Pending>();
     pending->spec = result.spec;
+    pending->key = result.fingerprint;
     pending->done = true;
     pending->result = std::move(result);
     tickets_.emplace(t, TicketState{pending, pending->spec, false});
@@ -55,6 +56,14 @@ SimServer::submit(const service::JobSpec &spec)
         r.spec = spec;
         r.error = err;
         return finishedTicketLocked(std::move(r));
+    }
+
+    // A finished answer seeded from the state a new run would see
+    // equals what that run would compute.
+    if (auto it = answers_.find(spec.label());
+        it != answers_.end() && answersVersion_ == store_.version()) {
+        store_.recordAnswerCached();
+        return finishedTicketLocked(it->second);
     }
 
     std::uint64_t key = store_.admissionKey(spec);
@@ -184,7 +193,8 @@ SimServer::workerLoop(std::size_t worker)
             ++running_;
         }
 
-        ServeResult result = executeJob(job->spec);
+        std::uint64_t seeded = 0;
+        ServeResult result = executeJob(job->spec, seeded);
 
         std::string err;
         if (!store_.maybeCheckpoint(&err))
@@ -193,6 +203,7 @@ SimServer::workerLoop(std::size_t worker)
         {
             std::lock_guard<std::mutex> lock(mu_);
             job->result = std::move(result);
+            rememberAnswerLocked(*job, seeded);
             job->done = true;
             inFlight_.erase(job->key);
             completed_ += 1 + job->waiters;
@@ -202,8 +213,27 @@ SimServer::workerLoop(std::size_t worker)
     }
 }
 
+void
+SimServer::rememberAnswerLocked(const Pending &job, std::uint64_t seeded)
+{
+    const std::uint64_t current = store_.version();
+    if (answersVersion_ != current) {
+        answers_.clear();
+        answersVersion_ = current;
+    }
+    // A run whose own publish (or another job's) moved the version
+    // answered for state that is no longer current.
+    if (!job.result.ok || seeded != current)
+        return;
+    ServeResult cached = job.result;
+    cached.answerCached = true;
+    cached.wallSeconds = 0.0; // nothing is simulated for a cached answer
+    cached.fingerprint = job.key;
+    answers_.insert_or_assign(job.spec.label(), std::move(cached));
+}
+
 ServeResult
-SimServer::executeJob(const service::JobSpec &spec)
+SimServer::executeJob(const service::JobSpec &spec, std::uint64_t &seeded)
 {
     ServeResult r;
     r.spec = spec;
@@ -225,14 +255,15 @@ SimServer::executeJob(const service::JobSpec &spec)
     if (opts_.traceReuse)
         platform.setTraceStore(&store_.traceStore());
 
-    service::StoreGroup seed = store_.snapshot(spec.gpu);
+    GlobalStore::Seed seed = store_.snapshot(spec.gpu);
+    seeded = seed.version;
     std::size_t seed_records = 0;
     sampling::CacheCounters base;
     if (sampling::PhotonSampler *ph = platform.photon()) {
-        seed_records = seed.kernels.size();
-        for (auto &rec : seed.kernels)
+        seed_records = seed.group.kernels.size();
+        for (auto &rec : seed.group.kernels)
             ph->cache().insert(std::move(rec));
-        ph->importAnalysisStore(std::move(seed.analyses));
+        ph->importAnalysisStore(std::move(seed.group.analyses));
         ph->importIntervalMemoStore(
             store_.snapshotIntervalMemos(spec.gpu));
         base = ph->cache().counters();

@@ -18,6 +18,14 @@
  * fingerprint, or same spec before one is learned) collapse onto the
  * one in-flight run: when the leader finishes, its result fans out to
  * every waiter, flagged dedup_collapsed.
+ *
+ * Admission dedup extends in time through the answer cache: a finished
+ * job's ok result is kept under its exact spec label together with the
+ * GlobalStore version it was seeded from. While that version is still
+ * current, a repeat of the label is answered at submit without running
+ * anything (flagged answer_cached); a run that published records of its
+ * own moved the version, so its next repeat executes against the new
+ * state. The cache is in memory only, like the fingerprint registry.
  */
 
 #ifndef PHOTON_SERVE_SERVER_HPP
@@ -68,8 +76,12 @@ struct ServeResult
     std::uint32_t kernelHits = 0; ///< launches served by kernel-sampling
     bool cacheHit = false;        ///< every launch was a cache hit
     bool dedupCollapsed = false;  ///< this request rode a leader's run
+    /** Answered from an earlier run seeded from the current store
+     *  version; nothing was simulated for this request. */
+    bool answerCached = false;
     bool analysisReused = false;  ///< any launch reused a stored analysis
-    double wallSeconds = 0.0;     ///< leader's simulation wall time
+    /** Leader's simulation wall time; 0 for a cached answer. */
+    double wallSeconds = 0.0;
     std::uint64_t fingerprint = 0; ///< admission key the request used
 };
 
@@ -103,9 +115,11 @@ class SimServer
 
     /**
      * Admit one request. Invalid specs and submissions during drain
-     * yield a ticket whose result is already a failure; valid ones
-     * either enqueue a new job or attach to the in-flight run with the
-     * same admission fingerprint.
+     * yield a ticket whose result is already a failure. A valid spec
+     * whose cached answer is still current yields a finished ticket
+     * holding that answer; otherwise the request enqueues a new job or
+     * attaches to the in-flight run with the same admission
+     * fingerprint.
      */
     Ticket submit(const service::JobSpec &spec);
 
@@ -148,7 +162,14 @@ class SimServer
     };
 
     void workerLoop(std::size_t worker);
-    ServeResult executeJob(const service::JobSpec &spec);
+    /** Run @p spec on a fresh Platform; @p seeded receives the store
+     *  version the job was seeded from. */
+    ServeResult executeJob(const service::JobSpec &spec,
+                           std::uint64_t &seeded);
+    /** Keep @p result as the answer for its label when the version it
+     *  was seeded from is still current; the caller holds mu_. */
+    PHOTON_REQUIRES_LOCK(mu_)
+    void rememberAnswerLocked(const Pending &job, std::uint64_t seeded);
     /** Record an already-completed result; the caller holds mu_
      *  (enforced by the lint lock-set pass at every call site). */
     PHOTON_REQUIRES_LOCK(mu_)
@@ -173,6 +194,14 @@ class SimServer
     PHOTON_SHARED_STATE
     PHOTON_GUARDED_BY(mu_)
     std::map<Ticket, TicketState> tickets_;
+    /** spec label -> last ok answer, every entry seeded from
+     *  answersVersion_; served only while that version is current, and
+     *  dropped as a whole once it moves. */
+    PHOTON_SHARED_STATE
+    PHOTON_GUARDED_BY(mu_)
+    std::map<std::string, ServeResult> answers_;
+    PHOTON_GUARDED_BY(mu_)
+    std::uint64_t answersVersion_ = 0;
     Ticket nextTicket_ = 1;
     std::uint64_t submitted_ = 0;
     std::uint64_t completed_ = 0;

@@ -41,6 +41,7 @@ ComputeUnit::ComputeUnit(const GpuConfig &cfg, std::uint32_t cuId,
     waveCurBbLanes_.assign(slots, 0);
     wgs_.resize(cfg.workgroupsPerCu);
     simdFree_.assign(cfg.simdsPerCu, 0);
+    simdSpan_.assign(cfg.simdsPerCu, 0);
     simdMin_.assign(cfg.simdsPerCu, kNoCycle);
     slotSimd_.resize(slots);
     slotRi_.resize(slots);
@@ -83,6 +84,7 @@ ComputeUnit::startKernel(const KernelContext &ctx)
         wg.active = false;
     }
     std::fill(simdFree_.begin(), simdFree_.end(), 0);
+    std::fill(simdSpan_.begin(), simdSpan_.end(), 0);
     std::fill(simdMin_.begin(), simdMin_.end(), kNoCycle);
     nextHint_ = kNoCycle;
     residentWaves_ = 0;
@@ -139,7 +141,10 @@ ComputeUnit::placeWorkgroup(WorkgroupId wg, Cycle now)
         if (ctx_.replay)
             waveCursor_[wave_slot].bind(ctx_.replay, warp);
         const std::uint32_t ri = readyIndex(wave_slot);
+        const std::uint32_t simd = slotSimd_[wave_slot];
         slotWarp_[ri] = warp;
+        simdSpan_[simd] =
+            std::max(simdSpan_[simd], ri - simd * cfg_.wavesPerSimd + 1);
         group.slots.push_back(wave_slot);
         setSlotReady(wave_slot, waveReadyAt_[wave_slot]);
         ++residentWaves_;
@@ -187,8 +192,8 @@ ComputeUnit::tickImpl(Cycle now)
         // winner's new ready cycle is folded back in by its issue.
         Cycle min_excl = kNoCycle;
         std::uint32_t best = arbitrate(&slotReady_[s * per_simd],
-                                       &slotWarp_[s * per_simd], now,
-                                       min_excl);
+                                       &slotWarp_[s * per_simd],
+                                       simdSpan_[s], now, min_excl);
         simdMin_[s] = min_excl;
         if (best != per_simd) {
             issue<Monitored>(s + best * simds, s * per_simd + best, s,
@@ -343,6 +348,11 @@ ComputeUnit::retireWave(std::uint32_t slot, Cycle now)
 
     waveActive_[slot] = 0;
     setSlotReady(slot, kNoCycle);
+    // Lane entry k of SIMD s is wave slot s + k * simdsPerCu.
+    const std::uint32_t simd = slotSimd_[slot];
+    std::uint32_t &span = simdSpan_[simd];
+    while (span > 0 && !waveActive_[simd + (span - 1) * cfg_.simdsPerCu])
+        --span;
     --residentWaves_;
     ++wavesRetired_;
     --wg.wavesLeft;

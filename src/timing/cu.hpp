@@ -184,13 +184,16 @@ class ComputeUnit
      * wheel in gpu.cpp) to select the oldest wavefront, and return the
      * minimum ready cycle over the *other* slots through @p min_excl —
      * the SIMD's refreshed hint contribution (the winner's new ready
-     * cycle is folded back in when its issue lands). Returns the
-     * per-SIMD slot index of the winner, or per_simd when nothing is
-     * ready (min_excl then covers every slot).
+     * cycle is folded back in when its issue lands). Only the first
+     * @p span slots are scanned: every slot past the SIMD's occupied
+     * high-water mark is empty and reads kNoCycle, so it could neither
+     * win nor lower a minimum. Returns the per-SIMD slot index of the
+     * winner, or per_simd when nothing is ready (min_excl then covers
+     * every slot).
      */
     std::uint32_t
-    arbitrate(const Cycle *ready, const std::uint32_t *warp, Cycle now,
-              Cycle &min_excl)
+    arbitrate(const Cycle *ready, const std::uint32_t *warp,
+              std::uint32_t span, Cycle now, Cycle &min_excl)
     {
         const std::uint32_t per_simd = cfg_.wavesPerSimd;
         ++simdScans_;
@@ -200,7 +203,7 @@ class ComputeUnit
         std::uint64_t mask = 0;
         Cycle mn = kNoCycle;
         Cycle mn2 = kNoCycle;
-        for (std::uint32_t k = 0; k < per_simd; ++k) {
+        for (std::uint32_t k = 0; k < span; ++k) {
             Cycle r = ready[k];
             mask |= std::uint64_t{r <= now} << k;
             Cycle hi = mn < r ? r : mn;
@@ -301,6 +304,11 @@ class ComputeUnit
     /** workgroupsPerCu slots, read on place/retire only. */
     std::vector<Workgroup> wgs_; // photon-lint: aos-ok
     std::vector<Cycle> simdFree_;    ///< per-SIMD issue-port availability
+    /** Per-SIMD occupied high-water mark: every resident wave of SIMD s
+     *  sits in one of its first simdSpan_[s] lane entries, so
+     *  arbitration scans only that prefix. Raised on placement, lowered
+     *  past trailing empty slots on retirement. */
+    std::vector<std::uint32_t> simdSpan_;
     /** Per-SIMD lower bound on the minimum active slotReady_. Made exact
      *  whenever the SIMD arbitrates; only ever folded downward in
      *  between, so the derived hint can be early but never late. */

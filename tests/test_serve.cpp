@@ -85,6 +85,7 @@ TEST(ServeProtocol, ResponseRoundTripWithResult)
     resp.result.kernelHits = 1;
     resp.result.cacheHit = true;
     resp.result.dedupCollapsed = true;
+    resp.result.answerCached = true;
     resp.result.fingerprint = 0xabcdefull;
 
     Response back;
@@ -97,7 +98,20 @@ TEST(ServeProtocol, ResponseRoundTripWithResult)
     EXPECT_EQ(back.result.insts, 7680u);
     EXPECT_TRUE(back.result.cacheHit);
     EXPECT_TRUE(back.result.dedupCollapsed);
+    EXPECT_TRUE(back.result.answerCached);
     EXPECT_EQ(back.result.fingerprint, 0xabcdefull);
+
+    // An older daemon's submit line has no answer_cached key: it decodes
+    // as an executed answer.
+    std::string line = encodeResponse(resp);
+    const std::string key = ", \"answer_cached\": true";
+    std::size_t at = line.find(key);
+    ASSERT_NE(at, std::string::npos) << line;
+    line.erase(at, key.size());
+    Response old;
+    ASSERT_TRUE(decodeResponse(line, old, &err)) << err << "\n" << line;
+    EXPECT_FALSE(old.result.answerCached);
+    EXPECT_EQ(old.result.cycles, 6005u);
 }
 
 TEST(ServeProtocol, ResponseRoundTripWithStatus)
@@ -110,6 +124,7 @@ TEST(ServeProtocol, ResponseRoundTripWithStatus)
     resp.status.completed = 9;
     resp.status.store.cacheHits = 7;
     resp.status.store.dedupCollapsed = 2;
+    resp.status.store.answersCached = 4;
     resp.status.storeKernelRecords = 5;
 
     Response back;
@@ -120,6 +135,7 @@ TEST(ServeProtocol, ResponseRoundTripWithStatus)
     EXPECT_EQ(back.status.workers, 3u);
     EXPECT_EQ(back.status.store.cacheHits, 7u);
     EXPECT_EQ(back.status.store.dedupCollapsed, 2u);
+    EXPECT_EQ(back.status.store.answersCached, 4u);
     EXPECT_EQ(back.status.storeKernelRecords, 5u);
 
     // A status line from an older daemon still carries the per-job CU
@@ -231,6 +247,9 @@ TEST(SimServer, SecondIdenticalRequestIsWarm)
     ASSERT_TRUE(second.ok) << second.error;
     EXPECT_TRUE(second.cacheHit);
     EXPECT_TRUE(second.analysisReused);
+    // The first run published its own records, so its answer was seeded
+    // from state that is no longer current: the repeat executes.
+    EXPECT_FALSE(second.answerCached);
     EXPECT_EQ(second.cycles, first.cycles);
     EXPECT_EQ(second.insts, first.insts);
 
@@ -331,12 +350,190 @@ TEST(SimServer, ConcurrentMixedRequestsMatchSerialResults)
             << results[i].spec.label();
     }
 
-    // Every request either executed on a worker or collapsed onto an
-    // in-flight leader — never both, never neither. (How many relus
-    // overlapped is timing-dependent; exact collapse counts are pinned
-    // by the paused-admission test above.)
+    // Every request executed on a worker, collapsed onto an in-flight
+    // leader or was answered from a cached result — exactly one of the
+    // three. (How many relus overlapped or arrived after a current
+    // answer is timing-dependent; exact counts are pinned by the
+    // paused-admission and answer-cache tests.)
     StoreStats stats = server.store().stats();
-    EXPECT_EQ(stats.dedupCollapsed + stats.jobsExecuted, clients);
+    EXPECT_EQ(stats.dedupCollapsed + stats.jobsExecuted +
+                  stats.answersCached,
+              clients);
+}
+
+// ----- Answer cache: repeats against an unchanged store -----
+
+TEST(SimServer, RepeatAgainstUnchangedStoreIsAnsweredFromCache)
+{
+    SimServer server(tinyServer(2));
+    const service::JobSpec s = spec("relu", 512);
+
+    // First run publishes its records (the version moves), so the
+    // second executes; it publishes nothing new.
+    ServeResult first = server.runSync(s);
+    ASSERT_TRUE(first.ok) << first.error;
+    EXPECT_FALSE(first.answerCached);
+    ServeResult second = server.runSync(s);
+    ASSERT_TRUE(second.ok) << second.error;
+    EXPECT_FALSE(second.answerCached);
+    const std::uint64_t version = server.store().version();
+    const StoreStats before = server.store().stats();
+    EXPECT_EQ(before.jobsExecuted, 2u);
+
+    ServeResult third = server.runSync(s);
+    ASSERT_TRUE(third.ok) << third.error;
+    EXPECT_TRUE(third.answerCached);
+    EXPECT_FALSE(third.dedupCollapsed);
+    EXPECT_EQ(third.spec, s);
+    EXPECT_EQ(third.cycles, second.cycles);
+    EXPECT_EQ(third.insts, second.insts);
+    EXPECT_EQ(third.kernels, second.kernels);
+    EXPECT_EQ(third.cacheHit, second.cacheHit);
+    EXPECT_EQ(third.fingerprint, second.fingerprint);
+    // Nothing was simulated for it.
+    EXPECT_EQ(third.wallSeconds, 0.0);
+
+    const StoreStats after = server.store().stats();
+    EXPECT_EQ(after.jobsExecuted, before.jobsExecuted);
+    EXPECT_EQ(after.answersCached, 1u);
+    EXPECT_EQ(server.store().version(), version);
+    ServerStatus st = server.status();
+    EXPECT_EQ(st.submitted, 3u);
+    EXPECT_EQ(st.completed, 3u);
+    EXPECT_EQ(after.jobsExecuted + after.dedupCollapsed +
+                  after.answersCached,
+              st.submitted);
+
+    // Seedable state published by anyone retires the answer at once,
+    // before any job completes: the next repeat executes.
+    sampling::PhotonSampler::AnalysisStore unrelated;
+    unrelated["unrelated@0"] = sampling::OnlineAnalysis{};
+    server.store().publish("tiny", {}, unrelated, {});
+    ServeResult fourth = server.runSync(s);
+    ASSERT_TRUE(fourth.ok) << fourth.error;
+    EXPECT_FALSE(fourth.answerCached);
+    EXPECT_EQ(fourth.cycles, second.cycles);
+    EXPECT_EQ(fourth.insts, second.insts);
+    EXPECT_EQ(server.store().stats().jobsExecuted, after.jobsExecuted + 1);
+}
+
+TEST(SimServer, NewPhotonPublishMakesRepeatExecuteAgain)
+{
+    SimServer server(tinyServer(1));
+    const service::JobSpec relu = spec("relu", 512);
+    server.runSync(relu);
+    const ServeResult warm = server.runSync(relu);
+    ASSERT_TRUE(server.runSync(relu).answerCached);
+
+    // A new Photon spec publishes its records: the version moves.
+    const std::uint64_t version = server.store().version();
+    ServeResult fir = server.runSync(spec("fir", 256));
+    ASSERT_TRUE(fir.ok) << fir.error;
+    EXPECT_FALSE(fir.answerCached);
+    EXPECT_GT(server.store().version(), version);
+
+    // The next repeat re-runs against the new state...
+    const std::uint64_t executed = server.store().stats().jobsExecuted;
+    ServeResult rerun = server.runSync(relu);
+    ASSERT_TRUE(rerun.ok) << rerun.error;
+    EXPECT_FALSE(rerun.answerCached);
+    EXPECT_EQ(server.store().stats().jobsExecuted, executed + 1);
+    EXPECT_EQ(rerun.cycles, warm.cycles);
+    EXPECT_EQ(rerun.insts, warm.insts);
+
+    // ...and that answer is cached in turn.
+    ServeResult cached = server.runSync(relu);
+    EXPECT_TRUE(cached.answerCached);
+    EXPECT_EQ(cached.cycles, rerun.cycles);
+    EXPECT_EQ(cached.insts, rerun.insts);
+    EXPECT_EQ(server.store().stats().jobsExecuted, executed + 1);
+}
+
+TEST(SimServer, FailedJobsAreNotCached)
+{
+    SimServer server(tinyServer(1));
+    for (int i = 0; i < 3; ++i) {
+        ServeResult bad = server.runSync(spec("nosuch", 1));
+        EXPECT_FALSE(bad.ok);
+        EXPECT_FALSE(bad.answerCached);
+        EXPECT_NE(bad.error.find("workload"), std::string::npos)
+            << bad.error;
+    }
+    EXPECT_EQ(server.store().stats().answersCached, 0u);
+    EXPECT_EQ(server.store().stats().jobsExecuted, 0u);
+}
+
+TEST(SimServer, CachedAnswersMatchFreshSingleWorkerRuns)
+{
+    const std::vector<service::JobSpec> matrix = {
+        spec("relu", 256), spec("fir", 256), spec("sc", 256),
+        spec("aes", 64), spec("relu", 256, "full"),
+    };
+    std::vector<ServeResult> fresh;
+    for (const auto &s : matrix) {
+        SimServer one(tinyServer(1));
+        fresh.push_back(one.runSync(s));
+        ASSERT_TRUE(fresh.back().ok) << fresh.back().error;
+    }
+
+    // Warm up until a whole round publishes nothing: every later
+    // repeat is then answered from the cache.
+    SimServer server(tinyServer(2));
+    bool settled = false;
+    for (int round = 0; round < 4 && !settled; ++round) {
+        const std::uint64_t version = server.store().version();
+        for (const auto &s : matrix)
+            ASSERT_TRUE(server.runSync(s).ok);
+        settled = server.store().version() == version;
+    }
+    ASSERT_TRUE(settled);
+
+    const std::uint64_t executed = server.store().stats().jobsExecuted;
+    for (std::size_t i = 0; i < matrix.size(); ++i) {
+        ServeResult r = server.runSync(matrix[i]);
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_TRUE(r.answerCached) << matrix[i].label();
+        EXPECT_EQ(r.cycles, fresh[i].cycles) << matrix[i].label();
+        EXPECT_EQ(r.insts, fresh[i].insts) << matrix[i].label();
+    }
+    EXPECT_EQ(server.store().stats().jobsExecuted, executed);
+}
+
+TEST(GlobalStore, VersionMovesOnlyWithSeedableStateAndSnapshotHasNoTelemetry)
+{
+    GlobalStore store;
+    EXPECT_EQ(store.version(), 0u);
+
+    sampling::KernelTelemetry tele;
+    tele.kernel = "k";
+    store.publish("tiny", {}, {}, {tele});
+    EXPECT_EQ(store.version(), 0u);
+
+    sampling::KernelRecord rec;
+    rec.name = "k";
+    rec.cycles = 100;
+    store.publish("tiny", {rec}, {}, {tele});
+    EXPECT_EQ(store.version(), 1u);
+
+    sampling::PhotonSampler::AnalysisStore analyses;
+    analyses["k@1"] = sampling::OnlineAnalysis{};
+    store.publish("tiny", {}, analyses, {});
+    EXPECT_EQ(store.version(), 2u);
+    // The same analysis again adds nothing (first entry wins).
+    store.publish("tiny", {}, analyses, {});
+    EXPECT_EQ(store.version(), 2u);
+
+    GlobalStore::Seed seed = store.snapshot("tiny");
+    EXPECT_EQ(seed.version, 2u);
+    EXPECT_EQ(seed.group.kernels.size(), 1u);
+    EXPECT_EQ(seed.group.analyses.size(), 1u);
+    EXPECT_TRUE(seed.group.telemetry.empty());
+    // The telemetry log itself is kept for exports and checkpoints.
+    EXPECT_EQ(store.exportAll().groups["tiny"].telemetry.size(), 2u);
+
+    GlobalStore::Seed none = store.snapshot("r9nano");
+    EXPECT_TRUE(none.group.empty());
+    EXPECT_EQ(none.version, 2u);
 }
 
 TEST(SimServer, RestartReloadsCheckpointedStore)

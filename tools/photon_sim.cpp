@@ -489,7 +489,7 @@ printStatus(const serve::ServerStatus &s)
         "photond: %u workers, %llu queued, "
         "%llu running%s\n"
         "requests: %llu submitted, %llu completed, %llu executed, "
-        "%llu dedup-collapsed\n"
+        "%llu dedup-collapsed, %llu answer-cached\n"
         "kernel cache: %llu hits / %llu misses (%.1f%% hit rate), "
         "%llu inserts, %llu analyses reused\n"
         "interval memo: %llu hits / %llu misses, %zu entries\n"
@@ -504,6 +504,7 @@ printStatus(const serve::ServerStatus &s)
         static_cast<unsigned long long>(s.completed),
         static_cast<unsigned long long>(s.store.jobsExecuted),
         static_cast<unsigned long long>(s.store.dedupCollapsed),
+        static_cast<unsigned long long>(s.store.answersCached),
         static_cast<unsigned long long>(s.store.cacheHits),
         static_cast<unsigned long long>(s.store.cacheMisses),
         lookups ? 100.0 * static_cast<double>(s.store.cacheHits) /
@@ -561,10 +562,11 @@ runClientVerb(serve::Op op, const ServeOptions &o)
                     static_cast<unsigned long long>(res.cycles),
                     static_cast<unsigned long long>(res.insts),
                     res.wallSeconds, res.kernels, res.kernelHits);
-        std::printf("cache_hit=%s dedup_collapsed=%s analysis_reused=%s "
-                    "fingerprint=%llx\n",
+        std::printf("cache_hit=%s dedup_collapsed=%s answer_cached=%s "
+                    "analysis_reused=%s fingerprint=%llx\n",
                     res.cacheHit ? "yes" : "no",
                     res.dedupCollapsed ? "yes" : "no",
+                    res.answerCached ? "yes" : "no",
                     res.analysisReused ? "yes" : "no",
                     static_cast<unsigned long long>(res.fingerprint));
     } else if (r.response.hasStatus) {
