@@ -65,9 +65,10 @@ GlobalStore::publish(
         fresh_analysis |= g.analyses.emplace(key, analysis).second;
     g.telemetry.insert(g.telemetry.end(), telemetry.begin(),
                        telemetry.end());
-    if (!kernels.empty() || fresh_analysis)
+    const bool seedable = !kernels.empty() || fresh_analysis;
+    if (seedable)
         ++version_;
-    if (!kernels.empty() || fresh_analysis || !telemetry.empty())
+    if (seedable || !telemetry.empty())
         dirty_ = true;
 }
 

@@ -166,8 +166,9 @@ class SimServer
      *  version the job was seeded from. */
     ServeResult executeJob(const service::JobSpec &spec,
                            std::uint64_t &seeded);
-    /** Keep @p result as the answer for its label when the version it
-     *  was seeded from is still current; the caller holds mu_. */
+    /** Keep @p job's ok result as the answer for its label when the
+     *  version it was seeded from (@p seeded) is still current; the
+     *  caller holds mu_. */
     PHOTON_REQUIRES_LOCK(mu_)
     void rememberAnswerLocked(const Pending &job, std::uint64_t seeded);
     /** Record an already-completed result; the caller holds mu_
